@@ -10,6 +10,7 @@ errors.  Identical invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .instances import (
@@ -27,6 +28,7 @@ from .poset import PosetError
 from .reporting import Report
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ordfactor", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -78,6 +80,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.cap_m < 1:
+            parser.error(f"argument --cap-m: must be at least 1, got {args.cap_m}")
     except SystemExit as err:
         return 2 if err.code not in (0, None) else 0
     try:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .galois import GaloisConnection, MonotoneMap, subposet_kind
-from .ideals import IdealFamily, enumerate_ideals
+from .ideals import IdealFamily
 from .monoid import MonoidInstance, InstanceError
 from .poset import FinitePoset, _mask_bits, is_irreducible
 from .reporting import FALSE, NOT_EVALUATED, TRUE, ConditionReport
@@ -190,12 +190,6 @@ def divisorial_data(sys: IdealSystem) -> DivisorialData:
     (ideals sharing their principal upper sets)."""
     closure = tuple(divisorial_closure(sys, a) for a in range(sys.poset.size))
     p = sys.poset
-    for a in range(p.size):
-        if not p.leq(a, closure[a]) or closure[closure[a]] != closure[a]:
-            raise AssertionError("divisorial closure violates the closure laws")
-        for b in range(p.size):
-            if p.leq(a, b) and not p.leq(closure[a], closure[b]):
-                raise AssertionError("divisorial closure is not monotone")
     groups: dict[int, list[int]] = {}
     for a in range(p.size):
         groups.setdefault(closure[a], []).append(a)
@@ -438,14 +432,15 @@ class ClassificationVerdict:
             raise AssertionError("pid must equal dedekind and ufd")
 
 
-def classify(sys: IdealSystem, family: Optional[IdealFamily] = None) -> ClassificationVerdict:
+def classify(sys: IdealSystem) -> ClassificationVerdict:
     """In-model Krull/Dedekind/UFD/PID verdicts.
 
     Krull is atom-power decomposability of the divisor lattice; Dedekind
     adds that every nonzero ideal is divisorial; UFD adds that every nonzero
-    ideal is principal; PID is their conjunction.  When a complete
-    power-ideal family is supplied, the lemma-level criterion (the lower
-    adjoint onto the nonzero ideals) is cross-checked against divisoriality.
+    ideal is principal; PID is their conjunction.  Divisoriality stands in
+    for the lemma-level criterion, the principal connection's lower adjoint
+    reaching every nonzero ideal: the adjoint's image is exactly the
+    divisorial ideals, which the test suite checks.
     """
     d6 = check_D6(sys)
     krull = d6.is_true
@@ -455,12 +450,6 @@ def classify(sys: IdealSystem, family: Optional[IdealFamily] = None) -> Classifi
     principal = sys.principal_image()
     non_principal = [a for a in sys.nonzero() if a not in principal]
     principal_all = not non_principal
-    if family is not None and family.complete:
-        conn = build_principal_connection(sys, family)
-        reached = {conn.lower(i) for i in range(len(family.masks))}
-        d_onto = set(sys.nonzero()) <= reached
-        if d_onto != divisorial_all:  # pragma: no cover - image of d = divisorial ideals
-            raise AssertionError("lower-adjoint surjectivity disagrees with divisoriality")
     dedekind = krull and divisorial_all
     ufd = krull and principal_all
     return ClassificationVerdict(

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
-from .poset import FinitePoset, order_isomorphism
+from .poset import FinitePoset
 
 
 class AdjunctionError(ValueError):

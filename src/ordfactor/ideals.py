@@ -95,11 +95,6 @@ def avoiding_ideal(inst: MonoidInstance, b: int) -> frozenset[int]:
     return p.set_of(mask)
 
 
-def avoiding_family(inst: MonoidInstance) -> dict[int, frozenset[int]]:
-    """b -> avoiding ideal, for every designated prime power."""
-    return {b: avoiding_ideal(inst, b) for b in sorted(inst.power_elements)}
-
-
 # -- the ideal family -----------------------------------------------------------
 
 
@@ -300,12 +295,14 @@ def check_condition(
     cap_m: int = 20000,
     b2_total_cap: int = 100000,
     b2_size_cap: int = 6,
-    f3_family_cap: int = 2,
 ) -> ConditionReport:
     """Literal evaluation of D1-D4, B1, B2, F2, F3.
 
     D2/D3/D4 quantify over the complete ideal family and report
-    not_evaluated when only a partial enumeration is available.
+    not_evaluated when only a partial enumeration is available.  F2 and F3
+    are theorem-level true on a finite carrier: F2's finite subfamily is an
+    element's whole power down-set, whose join lies above every member, and
+    F3's is the ideal family itself, which is finite.
     """
     p = inst.poset
     if which == "D1":
@@ -320,20 +317,16 @@ def check_condition(
     if which == "B2":
         return _check_b2(inst, b2_size_cap, b2_total_cap)
     if which == "F2":
-        for b in range(p.size):
-            dbm = p.down[b] & inst.power_mask
-            jb = p.join_mask(dbm)
-            if jb is None:
-                continue
-            for a in _mask_bits(p.down[jb]):
-                # the full (finite) power down-set is the required subfamily
-                if not p.leq(a, jb):
-                    return ConditionReport("F2", FALSE, (inst.lab(a), inst.lab(b)))
         return ConditionReport(
             "F2", TRUE, note="finite carrier: the full power down-set is its own finite subfamily"
         )
     if which == "F3":
-        return _check_f3(inst, family, f3_family_cap)
+        return ConditionReport(
+            "F3",
+            TRUE,
+            note="finite carrier: every ideal family is finite, so the family itself is the"
+            " required finite subfamily",
+        )
     if which not in ("D2", "D3", "D4"):
         raise InstanceError(f"unknown condition {which!r}")
     if family is None:
@@ -387,29 +380,6 @@ def _check_b2(inst: MonoidInstance, size_cap: int, total_cap: int) -> ConditionR
     if exhaustive:
         return ConditionReport("B2", TRUE, note="quantified over condensed subsets (chains make this exact)")
     return ConditionReport("B2", NOT_EVALUATED, note=f"condensed enumeration exceeds cap {total_cap}")
-
-
-def _check_f3(inst: MonoidInstance, family: Optional[IdealFamily], family_cap: int) -> ConditionReport:
-    note = (
-        "finite carrier: every ideal family is finite, so the family itself is the"
-        " required finite subfamily"
-    )
-    if family is not None and family.complete and len(family) <= 100:
-        p = inst.poset
-        for k in range(1, family_cap + 1):
-            for combo in itertools.combinations(family.masks, k):
-                union = 0
-                for m in combo:
-                    union |= m
-                v = ideal_closure_mask(inst, union)
-                for a in range(p.size):
-                    if p.down[a] & ~v:
-                        continue
-                    covered = any(not (p.down[a] & ~m) for m in combo) or not (p.down[a] & ~v)
-                    if not covered:  # pragma: no cover - the full subfamily always covers
-                        return ConditionReport("F3", FALSE, inst.lab(a))
-        note += "; defense loop over small subfamilies found no counterexample"
-    return ConditionReport("F3", TRUE, note=note)
 
 
 # -- missing-ideal structure ---------------------------------------------------------
@@ -466,18 +436,16 @@ def completely_meet_irreducible(family: IdealFamily) -> tuple[int, ...]:
 
 def maximal_missing_family(inst: MonoidInstance, family: IdealFamily) -> tuple[int, ...]:
     """All ideals maximal among those missing some element (requires a
-    complete enumeration).  Verified to coincide with the completely
-    meet-irreducible members."""
+    complete enumeration).  These are exactly the completely
+    meet-irreducible members, which the test suite checks against
+    completely_meet_irreducible."""
     if not family.complete:
         raise InstanceError("maximal_missing_set requires a complete enumeration")
     p = inst.poset
     out: set[int] = set()
     for a in range(p.size):
         out.update(maximal_missing(family, a))
-    result = tuple(sorted(out, key=_mask_key))
-    if set(result) != set(completely_meet_irreducible(family)):  # pragma: no cover - theorem
-        raise AssertionError("maximal missing ideals differ from the meet-irreducible ones")
-    return result
+    return tuple(sorted(out, key=_mask_key))
 
 
 def verify_missing_extension_laws(inst: MonoidInstance, family: IdealFamily) -> bool:

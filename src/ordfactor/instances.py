@@ -18,6 +18,7 @@ from .ideals import (
     check_condition,
     enumerate_ideals,
     equivalence_harness,
+    is_power_ideal_mask,
 )
 from .monoid import (
     MonoidInstance,
@@ -211,6 +212,9 @@ def _locate_error(message: str, spec: InstanceSpec, line_of: dict) -> int:
     for entry, lineno in line_of["mult"].items():
         if any(f"{lab!r}" in message for lab in entry[:2]):
             return lineno
+    for lab, lineno in line_of["elements"].items():
+        if f"{lab!r}" in message:
+            return lineno
     return 1
 
 
@@ -353,7 +357,7 @@ def _runtime_system(spec: InstanceSpec, index: dict) -> IdealSystem:
         mult = {
             (index[a], index[b]): index[c] for a, b, c in spec.mult_entries
         }
-    return IdealSystem(
+    system = IdealSystem(
         name=spec.name,
         poset=poset,
         zero=index[spec.zero],
@@ -361,6 +365,15 @@ def _runtime_system(spec: InstanceSpec, index: dict) -> IdealSystem:
         monoid=monoid,
         mult=mult,
     )
+    # Each ideal's principal labels must form a power ideal of the monoid,
+    # or the principal-label connection has nowhere to send that ideal.
+    for a in range(poset.size):
+        labels = sum(1 << x for x, o in enumerate(old) if poset.leq(a, o))
+        if not is_power_ideal_mask(monoid, labels)[0]:
+            raise InstanceError(
+                f"principal labels above {poset.labels[a]!r} do not form a power ideal"
+            )
+    return system
 
 
 # -- generators -------------------------------------------------------------------------
@@ -419,7 +432,6 @@ class Caps:
     cap_m: int = 20000
     b_total: int = 100000
     b_size: int = 6
-    f3_family: int = 2
     toporep_size: int = 64
 
 
@@ -441,7 +453,7 @@ def run_checks(
     unknown = [c for c in conditions if c not in CONDITIONS]
     if unknown:
         raise InstanceError(f"unknown conditions: {', '.join(unknown)}")
-    needs_family = {"D2", "D3", "D4", "F3", "harness", "toporep"}
+    needs_family = {"D2", "D3", "D4", "harness", "toporep"}
     if family is None and needs_family.intersection(conditions):
         family = enumerate_ideals(inst, caps.cap_m)
     checks: list[ConditionReport] = []
@@ -462,7 +474,6 @@ def _run_one(cond, target, inst, system, family, caps):
                 cap_m=caps.cap_m,
                 b2_total_cap=caps.b_total,
                 b2_size_cap=caps.b_size,
-                f3_family_cap=caps.f3_family,
             )
         ]
     if cond == "D5":
@@ -492,7 +503,7 @@ def _run_one(cond, target, inst, system, family, caps):
         return entries
     if cond == "classify":
         sys_ = system if system is not None else derive_system(inst)
-        verdict = classify(sys_, family if sys_.monoid is inst else None)
+        verdict = classify(sys_)
         return [
             ConditionReport("krull", TRUE if verdict.krull else FALSE, verdict.krull_witness),
             ConditionReport(

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -62,6 +63,25 @@ def test_usage_errors_exit_two():
     assert code == 2
     code, _, _ = run_cli("nonsense")
     assert code == 2
+    code, _, err = run_cli("check", "--gen", "div:12", "--conditions", "D1", "--cap-m", "-5")
+    assert code == 2
+    assert b"--cap-m" in err
+    code, out, _ = run_cli("enumerate-m", "--gen", "div:12", "--cap-m", "0")
+    assert code == 2
+    assert out == b""
+
+
+@pytest.mark.parametrize(
+    "command", [("report",), ("classify",), ("check", "--conditions", "classify")]
+)
+def test_ideal_system_with_non_ideal_labels_is_a_parse_error(command):
+    path = Path(__file__).parent / "fixtures" / "badsys.om"
+    code, out, err = run_cli(*command, "--instance", str(path))
+    assert code == 2
+    assert out == b""
+    assert err.startswith(b"ordfactor: line 10: ")  # the line declaring a
+    assert b"principal labels above 'a' do not form a power ideal" in err
+    assert b"Traceback" not in err
 
 
 def test_instance_file_round_trip(tmp_path):

@@ -238,12 +238,12 @@ def test_check_d6_false_on_hilbert_derived():
 @pytest.mark.parametrize("n", [12, 60, 360])
 def test_gen_div_systems_classify_pid(n):
     inst = gen_div(n)
-    verdict = classify(derive_system(inst), enumerate_ideals(inst))
+    verdict = classify(derive_system(inst))
     assert verdict.krull and verdict.dedekind and verdict.ufd and verdict.pid
 
 
 def test_krull_classifies_krull_not_ufd():
-    verdict = classify(KRULL, enumerate_ideals(KRULL.monoid))
+    verdict = classify(KRULL)
     assert verdict.krull is True
     assert verdict.ufd is False
     assert verdict.pid is False
@@ -255,7 +255,7 @@ def test_krull_classifies_krull_not_ufd():
 
 
 def test_hilbert_derived_classifies_not_krull():
-    verdict = classify(derive_system(gen_hilbert(441)), enumerate_ideals(gen_hilbert(441), cap=500))
+    verdict = classify(derive_system(gen_hilbert(441)))
     assert verdict.krull is False
     assert verdict.krull_witness is not None
     assert verdict.pid is False
@@ -264,7 +264,7 @@ def test_hilbert_derived_classifies_not_krull():
 def test_pid_is_dedekind_and_ufd_everywhere():
     systems = [div_system(12), div_system(60), KRULL, derive_system(gen_hilbert(441))]
     for sys in systems:
-        v = classify(sys, enumerate_ideals(sys.monoid, cap=500))
+        v = classify(sys)
         assert v.pid == (v.dedekind and v.ufd)
         if v.ufd:
             assert v.krull

@@ -24,6 +24,7 @@ from ordfactor.ideals import (
 )
 from ordfactor.monoid import InstanceError
 from tests.test_monoid import three_atom_top_instance
+from tests.test_theorems import theorem_monoids
 
 
 def elt(inst, label):
@@ -255,7 +256,7 @@ def test_maximal_missing_set_trivial_monoid_empty():
 
 
 def test_maximal_missing_set_equals_meet_irreducibles_on_corpus():
-    for inst in (DIV12, gen_div(60), gen_free(2, 2), three_atom_top_instance()):
+    for inst in theorem_monoids():
         family = enumerate_ideals(inst)
         assert set(maximal_missing_family(inst, family)) == set(completely_meet_irreducible(family))
 

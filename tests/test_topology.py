@@ -9,6 +9,7 @@ from ordfactor.topology import (
     neighborhood_view,
     represent_ideal_family,
 )
+from tests.test_theorems import representation_laws_hold
 
 
 DIV12 = FinitePoset.divisors(12)
@@ -24,7 +25,7 @@ def test_div12_representation():
     assert labset(DIV12, rep.assignment[DIV12.index("6")]) == {"2", "3"}
     assert labset(DIV12, rep.assignment[DIV12.index("12")]) == {"2", "3", "4"}
     assert len(rep.closed_sets) == 6
-    assert rep.exhaustive
+    assert representation_laws_hold(rep)
 
 
 def test_div60_representation():
