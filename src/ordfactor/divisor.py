@@ -419,13 +419,16 @@ def check_D6(sys: IdealSystem, size_cap: int = 4, total_cap: int = 100000) -> Co
 
 @dataclass(frozen=True)
 class ClassificationVerdict:
-    krull: bool
-    dedekind: bool
-    ufd: bool
-    pid: bool
+    """None marks a verdict left open by D6's cap; ``note`` is then D6's note."""
+
+    krull: Optional[bool]
+    dedekind: Optional[bool]
+    ufd: Optional[bool]
+    pid: Optional[bool]
     krull_witness: object = None
     dedekind_witness: object = None
     ufd_witness: object = None
+    note: str = ""
 
     def __post_init__(self):
         if self.pid != (self.dedekind and self.ufd):  # pragma: no cover - by construction
@@ -440,26 +443,28 @@ def classify(sys: IdealSystem) -> ClassificationVerdict:
     ideal is principal; PID is their conjunction.  Divisoriality stands in
     for the lemma-level criterion, the principal connection's lower adjoint
     reaching every nonzero ideal: the adjoint's image is exactly the
-    divisorial ideals, which the test suite checks.
+    divisorial ideals, which the test suite checks.  A false Dedekind or
+    UFD verdict carries its own clause's witness, or D6's when the clause
+    holds; a D6 left open by its cap leaves all four open.
     """
     d6 = check_D6(sys)
+    if d6.verdict == NOT_EVALUATED:
+        return ClassificationVerdict(None, None, None, None, note=d6.note)
     krull = d6.is_true
     data = divisorial_data(sys)
     non_div = [a for a in sys.nonzero() if data.closure[a] != a]
-    divisorial_all = not non_div
     principal = sys.principal_image()
     non_principal = [a for a in sys.nonzero() if a not in principal]
-    principal_all = not non_principal
-    dedekind = krull and divisorial_all
-    ufd = krull and principal_all
+    dedekind = krull and not non_div
+    ufd = krull and not non_principal
     return ClassificationVerdict(
         krull=krull,
         dedekind=dedekind,
         ufd=ufd,
         pid=dedekind and ufd,
         krull_witness=d6.witness,
-        dedekind_witness=sys.lab(non_div[0]) if non_div else None,
-        ufd_witness=sys.lab(non_principal[0]) if non_principal else None,
+        dedekind_witness=sys.lab(non_div[0]) if non_div else d6.witness,
+        ufd_witness=sys.lab(non_principal[0]) if non_principal else d6.witness,
     )
 
 

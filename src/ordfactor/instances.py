@@ -39,6 +39,7 @@ from .poset import FinitePoset, PosetError
 from .reporting import (
     FALSE,
     NOT_APPLICABLE,
+    NOT_EVALUATED,
     TRUE,
     ConditionReport,
     Report,
@@ -460,7 +461,10 @@ def run_checks(
     for cond in CONDITIONS:
         if cond not in conditions:
             continue
-        checks.extend(_run_one(cond, target, inst, system, family, caps))
+        held = {c.condition for c in checks}  # the harness repeats D1-D5 and F1
+        checks.extend(
+            r for r in _run_one(cond, target, inst, system, family, caps) if r.condition not in held
+        )
     return Report(instance=target.name, checks=tuple(checks))
 
 
@@ -504,22 +508,17 @@ def _run_one(cond, target, inst, system, family, caps):
     if cond == "classify":
         sys_ = system if system is not None else derive_system(inst)
         verdict = classify(sys_)
+
+        def entry(name, flag, witness, note=""):
+            if flag is None:
+                return ConditionReport(name, NOT_EVALUATED, note=verdict.note)
+            return ConditionReport(name, TRUE if flag else FALSE, None if flag else witness, note)
+
         return [
-            ConditionReport("krull", TRUE if verdict.krull else FALSE, verdict.krull_witness),
-            ConditionReport(
-                "dedekind", TRUE if verdict.dedekind else FALSE,
-                verdict.dedekind_witness if not verdict.dedekind else None,
-                note="in-model verdict",
-            ),
-            ConditionReport(
-                "ufd", TRUE if verdict.ufd else FALSE,
-                verdict.ufd_witness if not verdict.ufd else None,
-                note="in-model verdict",
-            ),
-            ConditionReport(
-                "pid", TRUE if verdict.pid else FALSE,
-                None if verdict.pid else "conjunction of dedekind and ufd",
-            ),
+            entry("krull", verdict.krull, verdict.krull_witness),
+            entry("dedekind", verdict.dedekind, verdict.dedekind_witness, "in-model verdict"),
+            entry("ufd", verdict.ufd, verdict.ufd_witness, "in-model verdict"),
+            entry("pid", verdict.pid, "conjunction of dedekind and ufd"),
         ]
     if cond == "toporep":
         from .topology import RepresentationError, represent_ideal_family
@@ -527,11 +526,16 @@ def _run_one(cond, target, inst, system, family, caps):
         try:
             famrep = represent_ideal_family(inst, family, size_cap=caps.toporep_size)
         except RepresentationError as err:
-            return [ConditionReport("toporep", FALSE, err.witness or str(err))]
+            if err.witness is None:  # a cap or a refused partial family
+                return [ConditionReport("toporep", NOT_EVALUATED, note=str(err))]
+            return [ConditionReport("toporep", FALSE, err.witness)]
         entries = list(famrep.closed_base)
-        entries.append(ConditionReport("toporep", TRUE if famrep.ok else FALSE,
-                                       None if famrep.ok else "base checks failed"))
-        return entries
+        # a false base check decides toporep; otherwise an unevaluated one leaves it open
+        bad = [r for r in entries if r.is_false] or [r for r in entries if not r.is_true]
+        if not bad:
+            return entries + [ConditionReport("toporep", TRUE)]
+        note = f"{bad[0].condition}: {bad[0].note or bad[0].verdict}"
+        return entries + [ConditionReport("toporep", bad[0].verdict, bad[0].witness, note)]
     if cond == "orderrep":
         from .products import ProductRefusal, order_representation_monoid
 

@@ -336,36 +336,25 @@ def is_irreducible(
 
 @dataclass(frozen=True)
 class LatticeProfile:
-    """Flags from exhaustive quantification; None means not evaluated."""
+    """Flags of a finite poset, each decided exactly."""
 
     is_join_semilattice: bool
     is_meet_semilattice: bool
     is_lattice: bool
     is_complete: bool
     is_distributive: bool
-    is_completely_distributive: Optional[bool]
+    is_completely_distributive: bool
 
 
-def _totally_below(p: FinitePoset, b: int, a: int) -> bool:
-    """b is totally below a: every set whose join dominates a has a member above b."""
-    avoid = 0
-    for s in range(p.size):
-        if not p.leq(b, s):
-            avoid |= 1 << s
-    for u in _mask_bits(p.up[a]):
-        if p.join_mask(avoid & p.down[u]) == u:
-            return False
-    return True
+def lattice_class(p: FinitePoset) -> LatticeProfile:
+    """Classify the poset by its pairwise joins and meets.
 
-
-def lattice_class(p: FinitePoset, cd_cap: int = 12) -> LatticeProfile:
-    """Classify the poset; complete distributivity is capped by ``cd_cap``.
-
-    Above the cap the completely-distributive flag is reported as None
-    ("not evaluated"), never silently False.
+    A finite lattice is distributive iff every join-irreducible j is
+    join-prime, that is, j is not below the join of the elements not above
+    it (Davey & Priestley, ch. 5); its families are finite, so it is
+    completely distributive iff it is distributive.
     """
-    join_sl = True
-    meet_sl = True
+    join_sl = meet_sl = p.size > 0
     for b in range(p.size):
         for c in range(b + 1, p.size):
             m = (1 << b) | (1 << c)
@@ -375,55 +364,14 @@ def lattice_class(p: FinitePoset, cd_cap: int = 12) -> LatticeProfile:
                 meet_sl = False
         if not join_sl and not meet_sl:
             break
-    if p.size == 0:
-        join_sl = meet_sl = False
     lattice = join_sl and meet_sl
     complete = lattice and p.bottom() is not None and p.top() is not None
-    distributive = lattice
-    if lattice:
-        for a in range(p.size):
-            for b in range(p.size):
-                for c in range(p.size):
-                    bc = p.join_mask((1 << b) | (1 << c))
-                    ab = p.meet_mask((1 << a) | (1 << b))
-                    ac = p.meet_mask((1 << a) | (1 << c))
-                    left = p.meet_mask((1 << a) | (1 << bc))
-                    right = p.join_mask((1 << ab) | (1 << ac))
-                    if left != right:
-                        distributive = False
-                        break
-                if not distributive:
-                    break
-            if not distributive:
-                break
-    cd: Optional[bool]
-    if p.size > cd_cap:
-        cd = None
-    elif not complete:
-        cd = False
-    else:
-        # Exact finite characterization: every element is the join of the
-        # elements totally below it.  (Equivalent to the definitional family
-        # identity; cross-checked against it and against plain distributivity
-        # in the test suite.)
-        cd = True
-        for a in range(p.size):
-            below = 0
-            for b in range(p.size):
-                if _totally_below(p, b, a):
-                    below |= 1 << b
-            if p.join_mask(below) != a:
-                cd = False
-                break
-    profile = LatticeProfile(join_sl, meet_sl, lattice, complete, distributive, cd)
-    # Flag implications, asserted on every instance evaluated.
-    if profile.is_completely_distributive:
-        assert profile.is_distributive
-    if profile.is_distributive:
-        assert profile.is_lattice
-    if profile.is_lattice:
-        assert profile.is_join_semilattice and profile.is_meet_semilattice
-    return profile
+    distributive = lattice and not any(
+        p.join_mask(p.down[j] & ~(1 << j)) != j
+        and p.leq(j, p.join_mask(p.full_mask & ~p.up[j]))
+        for j in range(p.size)
+    )
+    return LatticeProfile(join_sl, meet_sl, lattice, complete, distributive, complete and distributive)
 
 
 def definitional_complete_distributivity(p: FinitePoset, family_cap: int = 2) -> bool:

@@ -19,6 +19,8 @@ from .reporting import FALSE, TRUE, ConditionReport
 
 
 class RepresentationError(ValueError):
+    """A failed representation carries a witness; a cap or refusal carries none."""
+
     def __init__(self, message: str, witness=None):
         super().__init__(message)
         self.witness = witness
@@ -58,7 +60,7 @@ def build_representation(
             f"representation limited to {size_cap} elements (got {p.size})"
         )
     if not assume_complete:
-        profile = lattice_class(p, cd_cap=0)
+        profile = lattice_class(p)
         if not profile.is_complete:
             raise RepresentationError("representation needs a complete lattice")
     points = tuple(

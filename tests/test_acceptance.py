@@ -171,7 +171,7 @@ def test_criterion_4_ideal_family_structure():
             if not is_irreducible(fam_poset, pos[jb], "meet", "strong", "complete"):
                 problems.append((inst.name, f"avoiding ideal of {inst.lab(b)} not meet-irreducible"))
         if check_condition(inst, "D4", family).is_true:
-            profile = lattice_class(fam_poset, cd_cap=len(mask_list))
+            profile = lattice_class(fam_poset)
             if profile.is_completely_distributive is not True:
                 problems.append((inst.name, "family not completely distributive under D4"))
     # exact equality with the brute-force oracle on gen_div(12)

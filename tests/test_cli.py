@@ -36,6 +36,29 @@ def test_classify_krull_exit_one():
     assert "pid: false" in text
 
 
+def test_classify_hilbert_reports_witnesses_without_traceback():
+    code, out, err = run_cli("classify", "--gen", "hilbert:441")
+    assert code == 1
+    assert err == b""
+    assert b'dedekind: false  witness="(189)"' in out
+
+
+def test_report_lists_each_condition_once():
+    code, out, _ = run_cli("report", "--gen", "div:12", "--format", "json")
+    assert code == 0
+    names = [c["condition"] for c in json.loads(out)["checks"]]
+    assert len(names) == len(set(names))
+    code, out, _ = run_cli("check", "--gen", "div:12", "--conditions", "harness", "--format", "json")
+    names = [c["condition"] for c in json.loads(out)["checks"]]
+    assert names[:6] == ["D1", "D2", "D3", "D4", "D5", "F1"]
+
+
+def test_toporep_cap_is_not_evaluated():
+    code, out, _ = run_cli("check", "--gen", "free:2,15", "--conditions", "toporep")
+    assert code == 0
+    assert b"toporep: not_evaluated  (representation limited to 64 elements (got 256))" in out
+
+
 def test_json_format_stable_schema():
     code, out, _ = run_cli("check", "--gen", "div:12", "--conditions", "D1,B2", "--format", "json")
     assert code == 0
@@ -113,6 +136,14 @@ def test_enumerate_m_cli():
     assert code == 0
     doc = json.loads(out)
     assert len(doc["checks"][0]["witness"]) == 6
+
+
+def test_enumerate_m_capped_note_counts_the_listed_members():
+    code, out, _ = run_cli("enumerate-m", "--gen", "div:12", "--cap-m", "1", "--format", "json")
+    assert code == 0
+    entry = json.loads(out)["checks"][0]
+    assert len(entry["witness"]) == 6
+    assert entry["note"].startswith("walk stopped at cap 1; 6 ideals listed")
 
 
 def test_unknown_condition_exits_two():

@@ -1,9 +1,11 @@
 import itertools
 
 import pytest
+from hypothesis import given, strategies as st
 
 from ordfactor.builders import gen_div, gen_free, gen_hilbert, gen_random
 from ordfactor.ideals import (
+    _mask_key,
     avoiding_ideal,
     check_condition,
     check_maximal_missing_are_avoiding,
@@ -23,6 +25,7 @@ from ordfactor.ideals import (
     verify_missing_extension_laws,
 )
 from ordfactor.monoid import InstanceError
+from ordfactor.poset import _mask_bits
 from tests.test_monoid import three_atom_top_instance
 from tests.test_theorems import theorem_monoids
 
@@ -179,6 +182,12 @@ def test_capped_enumeration_is_partial_with_guaranteed_members():
         assert inst.poset.down[a] in masks
     for b in inst.power_elements:
         assert inst.poset.mask_of(avoiding_ideal(inst, b)) in masks
+
+
+@given(st.lists(st.integers(min_value=0, max_value=(1 << 70) - 1), max_size=40))
+def test_mask_key_orders_by_size_then_member_list(masks):
+    by_members = sorted(masks, key=lambda m: (bin(m).count("1"), sorted(_mask_bits(m))))
+    assert sorted(masks, key=_mask_key) == by_members
 
 
 # -- subset classification --------------------------------------------------------------
@@ -350,7 +359,7 @@ def test_f1_instances_are_distributive_with_irreducible_powers():
 
     for inst in (gen_div(12), gen_div(60), gen_free(2, 2), gen_free(3, 1)):
         assert check_F1(inst).is_true
-        profile = lattice_class(inst.poset, cd_cap=inst.size)
+        profile = lattice_class(inst.poset)
         assert profile.is_distributive
         strong = {
             a

@@ -178,6 +178,19 @@ def test_run_checks_krull_classify():
     assert report.exit_code() == 1
 
 
+def test_toporep_not_evaluated_when_a_base_check_is_capped():
+    report = run_checks(gen_div(720), ("toporep",))
+    by_name = {c.condition: c for c in report.checks}
+    assert by_name["open_dual"].verdict == "not_evaluated"
+    assert by_name["toporep"].verdict == "not_evaluated"
+    assert report.exit_code() == 0
+
+
+def test_toporep_not_evaluated_on_a_partial_family():
+    report = run_checks(gen_div(60), ("toporep",), Caps(cap_m=3))
+    assert [(c.condition, c.verdict) for c in report.checks] == [("toporep", "not_evaluated")]
+
+
 def test_decompose_report():
     report = decompose_report(gen_div(60), "60")
     entry = report.checks[0]

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from ordfactor.poset import (
     FinitePoset,
     IsomorphismCapExceeded,
+    LatticeProfile,
     PosetError,
     definitional_complete_distributivity,
     is_irreducible,
@@ -228,10 +229,66 @@ def test_antichain_not_lattice():
     assert not prof.is_lattice
 
 
-def test_cd_cap_reports_not_evaluated():
-    prof = lattice_class(FinitePoset.divisors(360), cd_cap=12)
-    assert prof.is_completely_distributive is None
-    assert lattice_class(FinitePoset.divisors(360), cd_cap=24).is_completely_distributive
+def test_div360_decided_completely_distributive():
+    assert lattice_class(FinitePoset.divisors(360)).is_completely_distributive is True
+
+
+def _totally_below(p, b, a):
+    """b is totally below a: every set whose join dominates a has a member above b."""
+    avoid = 0
+    for s in range(p.size):
+        if not p.leq(b, s):
+            avoid |= 1 << s
+    for u in range(p.size):
+        if p.leq(a, u) and p.join_mask(avoid & p.down[u]) == u:
+            return False
+    return True
+
+
+def _oracle_profile(p):
+    """The six flags by direct quantification: pairwise joins and meets, the
+    distributive law over all triples, and complete distributivity as
+    "every element is the join of the elements totally below it"."""
+    pairs = list(itertools.combinations(range(p.size), 2))
+    join_sl = p.size > 0 and all(p.join([b, c]) is not None for b, c in pairs)
+    meet_sl = p.size > 0 and all(p.meet([b, c]) is not None for b, c in pairs)
+    lattice = join_sl and meet_sl
+    complete = lattice and p.bottom() is not None and p.top() is not None
+    distributive = lattice and all(
+        p.meet([a, p.join([b, c])]) == p.join([p.meet([a, b]), p.meet([a, c])])
+        for a, b, c in itertools.product(range(p.size), repeat=3)
+    )
+    cd = complete and all(
+        p.join([b for b in range(p.size) if _totally_below(p, b, a)]) == a for a in range(p.size)
+    )
+    return LatticeProfile(join_sl, meet_sl, lattice, complete, distributive, cd)
+
+
+def _oracle_posets():
+    """The posets of at most 16 elements among SMALL_POSETS, the shared
+    theorem monoids, their complete families, their derived systems and
+    those systems' divisor lattices."""
+    from ordfactor.divisor import derive_system, divisor_lattice
+    from ordfactor.ideals import enumerate_ideals
+    from tests.test_theorems import theorem_monoids
+
+    # N5 with its only non-prime join-irreducible, z, as the last element
+    n5 = FinitePoset.from_pairs(["0", "x", "y", "1", "z"], [(0, 1), (1, 4), (4, 3), (0, 2), (2, 3)])
+    posets = SMALL_POSETS + [n5]
+    for inst in theorem_monoids():
+        sys = derive_system(inst)
+        posets += [inst.poset, enumerate_ideals(inst).poset()[0], sys.poset, divisor_lattice(sys)[0]]
+    return [q for q in posets if q.size <= 16]
+
+
+def test_lattice_class_agrees_with_oracle():
+    posets = _oracle_posets()
+    kinds = set()
+    for q in posets:
+        prof = lattice_class(q)
+        assert prof == _oracle_profile(q), (q.labels, prof)
+        kinds.add((prof.is_lattice, prof.is_distributive))
+    assert kinds == {(False, False), (True, False), (True, True)}
 
 
 @pytest.mark.parametrize("p", [p for p in SMALL_POSETS if lattice_class(p).is_complete])
