@@ -1,8 +1,10 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
+from ordfactor import ideals
 from ordfactor.builders import gen_div, gen_free, gen_hilbert, gen_random
 from ordfactor.ideals import (
     _mask_key,
@@ -24,8 +26,9 @@ from ordfactor.ideals import (
     structure_report,
     verify_missing_extension_laws,
 )
-from ordfactor.monoid import InstanceError
-from ordfactor.poset import _mask_bits
+from ordfactor.instances import generate
+from ordfactor.monoid import InstanceError, MonoidInstance, PrimePower
+from ordfactor.poset import FinitePoset, _mask_bits
 from tests.test_monoid import three_atom_top_instance
 from tests.test_theorems import theorem_monoids
 
@@ -182,6 +185,51 @@ def test_capped_enumeration_is_partial_with_guaranteed_members():
         assert inst.poset.down[a] in masks
     for b in inst.power_elements:
         assert inst.poset.mask_of(avoiding_ideal(inst, b)) in masks
+
+
+def relabelled(inst, perm):
+    """The same instance with element i renamed perm[i]."""
+    p = inst.poset
+    labels, up = [None] * p.size, [0] * p.size
+    for i in range(p.size):
+        labels[perm[i]] = p.labels[i]
+        up[perm[i]] = sum(1 << perm[j] for j in _mask_bits(p.up[i]))
+    mult = None if inst.mult is None else {(perm[a], perm[b]): perm[c] for (a, b), c in inst.mult.items()}
+    powers = [PrimePower(base=perm[pp.base], exponent=pp.exponent, element=perm[pp.element])
+              for pp in inst.prime_powers]
+    return MonoidInstance(inst.name, FinitePoset(labels, up), perm[inst.unit], mult, powers, inst.kind, check=False)
+
+
+def relabelling_instances():
+    yield from (gen_random(size, seed) for size in range(1, 13) for seed in range(1, 21))
+    yield from (gen_div(n) for n in range(1, 61))
+    yield from (gen_free(2, 2), gen_free(3, 2), gen_hilbert(44))
+
+
+def test_enumeration_does_not_depend_on_element_numbering():
+    # shuffled ids are no longer a linear extension of the order, so the
+    # walk's canonicity pre-check must stay exact without one
+    for k, inst in enumerate(relabelling_instances()):
+        perm = list(range(inst.size))
+        random.Random(k).shuffle(perm)
+        shuffled = relabelled(inst, perm)
+        family = enumerate_ideals(shuffled)
+        back = [sum(1 << i for i in range(inst.size) if m >> perm[i] & 1) for m in family.masks]
+        assert tuple(sorted(back, key=_mask_key)) == enumerate_ideals(inst).masks, inst.name
+        if inst.size <= 16:
+            assert tuple(family.sets()) == lower_set_filter_ideals(shuffled), inst.name
+
+
+@pytest.mark.parametrize(
+    "token, members", [("div:5040", 60), ("free:4,3", 256), ("free:8,1", 256), ("free:2,9", 100), ("hilbert:44", 768)]
+)
+def test_walk_makes_one_closure_per_member(monkeypatch, token, members):
+    calls = []
+    closure = ideals.ideal_closure_mask
+    monkeypatch.setattr(ideals, "ideal_closure_mask", lambda inst, mask: calls.append(mask) or closure(inst, mask))
+    family = enumerate_ideals(generate(token))
+    assert family.complete and len(family) == members
+    assert len(calls) == members
 
 
 @given(st.lists(st.integers(min_value=0, max_value=(1 << 70) - 1), max_size=40))

@@ -3,15 +3,19 @@
 Each test states one theorem and checks it over one shared instance list:
 seeded random instances of every size up to 12, the divisor monoids up to
 60, two free models, the krullZ2 ideal system and three atoms with one
-common join (where unique decomposition fails).
+common join (where unique decomposition fails).  The closure theorems add
+the benchmark's ladder instances.
 """
 
 import functools
 import itertools
 
+from hypothesis import given, settings, strategies as st
+
 from ordfactor.builders import gen_div, gen_free, gen_hilbert, gen_krullZ2, gen_random
 from ordfactor.divisor import build_principal_connection, derive_system, divisorial_data
-from ordfactor.ideals import enumerate_ideals
+from ordfactor.ideals import _ctx, enumerate_ideals, ideal_closure_mask
+from ordfactor.instances import generate
 from ordfactor.monoid import check_B4, uniqueness_check
 from ordfactor.poset import _mask_bits
 from ordfactor.topology import RepresentationError, represent_ideal_family
@@ -26,6 +30,13 @@ def theorem_monoids():
     insts += [gen_div(n) for n in range(1, 61)]
     insts += [gen_free(2, 2), gen_free(3, 3), gen_krullZ2().monoid, three_atom_top_instance()]
     return tuple(insts)
+
+
+@functools.cache
+def closure_monoids():
+    # the benchmark ladder; its free:3,3 and krullZ2 are in the shared list
+    ladder = ("div:5040", "free:4,3", "free:8,1", "free:2,9", "hilbert:441", "hilbert:2000")
+    return theorem_monoids() + tuple(generate(token) for token in ladder)
 
 
 @functools.cache
@@ -117,3 +128,49 @@ def test_representation_laws_on_every_accepted_family():
         assert representation_laws_hold(famrep.representation), inst.name
         accepted += 1
     assert accepted >= 60
+
+
+def fixpoint_closure_mask(inst, mask: int) -> int:
+    """The closure by its definition: from the down-set, add the down-set of
+    every forced join whose power premise is present, until nothing changes."""
+    p = inst.poset
+    forced = []
+    for a in range(p.size):
+        dbm = p.down[a] & inst.power_mask
+        tgt = p.join_mask(dbm)
+        if tgt is not None:
+            forced.append((dbm, p.down[tgt]))
+    cur = p.down_mask(mask)
+    changed = True
+    while changed:
+        changed = False
+        for dbm, tgt_down in forced:
+            if not (dbm & ~cur) and cur | tgt_down != cur:
+                cur |= tgt_down
+                changed = True
+    return cur
+
+
+def test_forced_joins_add_no_prime_power():
+    # the reason one sweep of the forced pairs closes a set
+    for inst in closure_monoids():
+        for dbm, tgt, tgt_down in _ctx(inst):
+            assert tgt_down == inst.poset.down[tgt], (inst.name, tgt)
+            assert tgt_down & inst.power_mask == dbm, (inst.name, inst.lab(tgt))
+
+
+def test_single_pass_closure_equals_fixpoint_on_principal_and_avoiding_seeds():
+    for inst in closure_monoids():
+        p = inst.poset
+        seeds = [0] + [p.down[a] for a in range(p.size)]
+        seeds += [p.full_mask & ~p.up[b] for b in sorted(inst.power_elements)]
+        for mask in seeds:
+            assert ideal_closure_mask(inst, mask) == fixpoint_closure_mask(inst, mask), inst.name
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_single_pass_closure_equals_fixpoint_on_drawn_masks(data):
+    inst = data.draw(st.sampled_from(closure_monoids()))
+    mask = data.draw(st.integers(min_value=0, max_value=inst.poset.full_mask))
+    assert ideal_closure_mask(inst, mask) == fixpoint_closure_mask(inst, mask)
