@@ -18,7 +18,7 @@ from typing import Optional
 
 from .galois import GaloisConnection, MonotoneMap, subposet_kind
 from .ideals import IdealFamily
-from .monoid import MonoidInstance, InstanceError
+from .monoid import MonoidInstance, InstanceError, covering_law_failure
 from .poset import FinitePoset, _mask_bits, is_irreducible
 from .reporting import FALSE, NOT_EVALUATED, TRUE, ConditionReport
 
@@ -133,8 +133,8 @@ def derive_system(inst: MonoidInstance) -> IdealSystem:
     pos = {m: i for i, m in enumerate(ordered)}
     labels = []
     for m in ordered:
-        if m == 0:
-            labels.append("(0)")
+        if m == 0:  # equal to no "(x)" or "<...>" label, whatever the element labels
+            labels.append("0")
         elif m in principal_sets:
             labels.append(f"({mp.labels[principal_sets[m]]})")
         else:
@@ -346,6 +346,11 @@ def _atom_powers(lattice: FinitePoset, mult: Optional[dict]):
                 current = product(current, atom)
             chains[atom] = chain
     else:
+        # The complete test (the join of x's strict down-set is not x) equals
+        # the pairwise one here: every family with an upper bound in the
+        # divisor lattice has a join (the intersection of its ideals is
+        # nonzero), so if the strict down-set joins to x, adding its members
+        # one at a time reaches x first at some pair t v b with t, b < x.
         amask = lattice.mask_of(atom_mask)
         for atom in sorted(atom_mask):
             members = [
@@ -353,7 +358,7 @@ def _atom_powers(lattice: FinitePoset, mult: Optional[dict]):
                 for x in range(lattice.size)
                 if x != bottom
                 and lattice.down[x] & amask == 1 << atom
-                and is_irreducible(lattice, x, "join", "plain", "finite")
+                and is_irreducible(lattice, x, "join", "plain", "complete")
             ]
             members.sort(key=lambda x: bin(lattice.down[x]).count("1"))
             chains[atom] = members
@@ -361,11 +366,13 @@ def _atom_powers(lattice: FinitePoset, mult: Optional[dict]):
     return chains, elements
 
 
-def check_D6(sys: IdealSystem, size_cap: int = 4, total_cap: int = 100000) -> ConditionReport:
+def check_D6(sys: IdealSystem) -> ConditionReport:
     """Every in-model divisor is a finite join of atom powers, uniquely.
 
-    Uniqueness runs through the covering law on the atom-power family: a
-    member below an existing join of members must sit below one of them.
+    Uniqueness is the covering law on the atom-power family, one member per
+    atom: a member below an existing join of members must sit below one of
+    them.  The covering-law kernel decides it.  Without multiplication an
+    atom's group need not be a chain; the kernel tries its maximal members.
     """
     lattice, old, mult = divisor_lattice(sys)
     chains, elements = _atom_powers(lattice, mult)
@@ -375,42 +382,15 @@ def check_D6(sys: IdealSystem, size_cap: int = 4, total_cap: int = 100000) -> Co
             continue
         if lattice.join_mask(lattice.down[x] & emask) != x:
             return ConditionReport("D6", FALSE, sys.lab(old[x]), note="no atom-power decomposition")
-    chain_lists = [chains[a] for a in sorted(chains)]
-    total = 1
-    for ch in chain_lists:
-        total *= 1 + len(ch)
-    exhaustive = total - 1 <= total_cap
-    count = 0
-    for k in range(1, (len(chain_lists) if exhaustive else min(size_cap, len(chain_lists))) + 1):
-        for picked in itertools.combinations(range(len(chain_lists)), k):
-            for combo in itertools.product(*[chain_lists[i] for i in picked]):
-                count += 1
-                if not exhaustive and count > total_cap:
-                    break
-                m = 0
-                for e in combo:
-                    m |= 1 << e
-                j = lattice.join_mask(m)
-                if j is None:
-                    continue
-                covered = 0
-                for e in combo:
-                    covered |= lattice.down[e]
-                bad = lattice.down[j] & emask & ~covered
-                if bad:
-                    e = next(_mask_bits(bad))
-                    return ConditionReport(
-                        "D6",
-                        FALSE,
-                        (sys.lab(old[e]), sorted(sys.lab(old[x]) for x in combo)),
-                        note="atom-power covering law fails (non-unique decomposition)",
-                    )
-    if exhaustive:
+    failure = covering_law_failure(lattice, [lattice.mask_of(chains[a]) for a in sorted(chains)])
+    if failure is None:
         return ConditionReport("D6", TRUE)
+    _, x, members = failure
     return ConditionReport(
         "D6",
-        NOT_EVALUATED,
-        note=f"existence holds; uniqueness enumeration exceeds cap {total_cap}",
+        FALSE,
+        (sys.lab(old[x]), sorted(sys.lab(old[e]) for e in members)),
+        note="atom-power covering law fails (non-unique decomposition)",
     )
 
 
@@ -419,16 +399,13 @@ def check_D6(sys: IdealSystem, size_cap: int = 4, total_cap: int = 100000) -> Co
 
 @dataclass(frozen=True)
 class ClassificationVerdict:
-    """None marks a verdict left open by D6's cap; ``note`` is then D6's note."""
-
-    krull: Optional[bool]
-    dedekind: Optional[bool]
-    ufd: Optional[bool]
-    pid: Optional[bool]
+    krull: bool
+    dedekind: bool
+    ufd: bool
+    pid: bool
     krull_witness: object = None
     dedekind_witness: object = None
     ufd_witness: object = None
-    note: str = ""
 
     def __post_init__(self):
         if self.pid != (self.dedekind and self.ufd):  # pragma: no cover - by construction
@@ -445,11 +422,9 @@ def classify(sys: IdealSystem) -> ClassificationVerdict:
     reaching every nonzero ideal: the adjoint's image is exactly the
     divisorial ideals, which the test suite checks.  A false Dedekind or
     UFD verdict carries its own clause's witness, or D6's when the clause
-    holds; a D6 left open by its cap leaves all four open.
+    holds.
     """
     d6 = check_D6(sys)
-    if d6.verdict == NOT_EVALUATED:
-        return ClassificationVerdict(None, None, None, None, note=d6.note)
     krull = d6.is_true
     data = divisorial_data(sys)
     non_div = [a for a in sys.nonzero() if data.closure[a] != a]

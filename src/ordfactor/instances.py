@@ -445,7 +445,8 @@ def run_checks(
     """Dispatch the requested conditions to their owning modules.
 
     Conditions not applicable to the instance kind produce explicit
-    not_applicable entries without affecting the exit code.
+    not_applicable entries without affecting the exit code.  When the
+    harness is requested, D1-D5 and F1 are taken from its single run.
     """
     system = target if isinstance(target, IdealSystem) else None
     inst = target.monoid if system is not None else target
@@ -457,18 +458,21 @@ def run_checks(
     needs_family = {"D2", "D3", "D4", "harness", "toporep"}
     if family is None and needs_family.intersection(conditions):
         family = enumerate_ideals(inst, caps.cap_m)
+    harness = equivalence_harness(inst, family, caps.cap_m) if "harness" in conditions else None
     checks: list[ConditionReport] = []
     for cond in CONDITIONS:
         if cond not in conditions:
             continue
         held = {c.condition for c in checks}  # the harness repeats D1-D5 and F1
         checks.extend(
-            r for r in _run_one(cond, target, inst, system, family, caps) if r.condition not in held
+            r for r in _run_one(cond, inst, system, family, caps, harness) if r.condition not in held
         )
     return Report(instance=target.name, checks=tuple(checks))
 
 
-def _run_one(cond, target, inst, system, family, caps):
+def _run_one(cond, inst, system, family, caps, harness):
+    if harness is not None and cond in ("D1", "D2", "D3", "D4", "D5", "F1"):
+        return [harness.entry(cond)]
     if cond in ("D1", "D2", "D3", "D4", "B1", "B2", "F2", "F3"):
         return [
             check_condition(
@@ -485,7 +489,7 @@ def _run_one(cond, target, inst, system, family, caps):
     if cond == "B3":
         return [check_B3(inst)]
     if cond == "B4":
-        return [check_B4(inst, caps.b_size, caps.b_total)]
+        return [check_B4(inst)]
     if cond == "F1":
         return [check_F1(inst)]
     if cond == "DCC":
@@ -495,23 +499,18 @@ def _run_one(cond, target, inst, system, family, caps):
         rep = check_D6(sys_)
         return [rep]
     if cond == "harness":
-        report = equivalence_harness(inst, family, caps.cap_m)
-        entries = list(report.entries)
-        entries.append(
+        return list(harness.entries) + [
             ConditionReport(
                 "harness_agreement",
-                TRUE if report.ok else FALSE,
-                list(report.disagreements) if report.disagreements else None,
+                TRUE if harness.ok else FALSE,
+                list(harness.disagreements) if harness.disagreements else None,
             )
-        )
-        return entries
+        ]
     if cond == "classify":
         sys_ = system if system is not None else derive_system(inst)
         verdict = classify(sys_)
 
         def entry(name, flag, witness, note=""):
-            if flag is None:
-                return ConditionReport(name, NOT_EVALUATED, note=verdict.note)
             return ConditionReport(name, TRUE if flag else FALSE, None if flag else witness, note)
 
         return [

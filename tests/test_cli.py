@@ -107,6 +107,22 @@ def test_ideal_system_with_non_ideal_labels_is_a_parse_error(command):
     assert b"Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "command, code, line",
+    [
+        (("report",), 1, b"D6: true"),  # B2 fails: 1 and 2 have no join
+        (("classify",), 0, b"krull: true"),
+        (("check", "--conditions", "D6"), 0, b"D6: true"),
+    ],
+)
+def test_element_named_zero_keeps_ideal_labels_distinct(command, code, line):
+    # the principal ideal of 0 is labelled (0), which the zero ideal's label is not
+    path = Path(__file__).parent / "fixtures" / "zero_element.om"
+    got, out, err = run_cli(*command, "--instance", str(path))
+    assert (got, err) == (code, b"")
+    assert line in out
+
+
 def test_instance_file_round_trip(tmp_path):
     from ordfactor.builders import gen_div
     from ordfactor.instances import InstanceSpec, serialize_instance

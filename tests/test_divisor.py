@@ -18,7 +18,6 @@ from ordfactor.galois import preservation_report, round_trip_laws_hold
 from ordfactor.ideals import enumerate_ideals
 from ordfactor.monoid import InstanceError, MonoidInstance, POSET_WITH_B
 from ordfactor.poset import FinitePoset, order_isomorphism
-from ordfactor.reporting import NOT_EVALUATED, ConditionReport
 
 
 def div_system(n):
@@ -267,20 +266,6 @@ def test_false_verdicts_carry_witnesses_from_d6_when_the_clause_holds():
     verdict = classify(sys)
     assert verdict.dedekind is False and verdict.dedekind_witness == verdict.krull_witness
     assert verdict.ufd is False and verdict.ufd_witness is not None
-
-
-def test_capped_d6_leaves_every_verdict_open(monkeypatch):
-    from ordfactor import divisor
-    from ordfactor.instances import run_checks
-
-    monkeypatch.setattr(
-        divisor, "check_D6", lambda sys: ConditionReport("D6", NOT_EVALUATED, note="capped")
-    )
-    verdict = divisor.classify(div_system(12))
-    assert (verdict.krull, verdict.dedekind, verdict.ufd, verdict.pid) == (None,) * 4
-    assert verdict.note == "capped"
-    report = run_checks(div_system(12), ("classify",))
-    assert [(c.verdict, c.note) for c in report.checks] == [(NOT_EVALUATED, "capped")] * 4
 
 
 def test_pid_is_dedekind_and_ufd_everywhere():

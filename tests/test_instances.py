@@ -223,3 +223,30 @@ def test_fixture_file_parses(tmp_path):
     inst = to_runtime(parse_instance(text))
     assert inst.size == 6
     assert run_checks(inst, ("D1", "D5")).computed_summary() == "pass"
+
+
+def test_report_takes_harness_conditions_from_one_run(monkeypatch):
+    # run_checks and the harness evaluate D1-D5 and F1 through these names
+    from collections import Counter
+
+    from ordfactor import ideals, instances
+
+    calls = Counter()
+
+    def count(module, name, key):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[key(args)] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for module in (ideals, instances):
+        count(module, "check_condition", lambda args: args[1])
+        count(module, "check_D5", lambda args: "D5")
+        count(module, "check_F1", lambda args: "F1")
+    report = run_checks(generate("div:12"), "all")
+    names = ("D1", "D2", "D3", "D4", "D5", "F1")
+    assert [calls[c] for c in names] == [1] * 6
+    assert [c.condition for c in report.checks[:5]] == list(names[:5])

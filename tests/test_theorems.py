@@ -13,11 +13,11 @@ import itertools
 from hypothesis import given, settings, strategies as st
 
 from ordfactor.builders import gen_div, gen_free, gen_hilbert, gen_krullZ2, gen_random
-from ordfactor.divisor import build_principal_connection, derive_system, divisorial_data
+from ordfactor.divisor import build_principal_connection, derive_system, divisor_lattice, divisorial_data
 from ordfactor.ideals import _ctx, enumerate_ideals, ideal_closure_mask
 from ordfactor.instances import generate
 from ordfactor.monoid import check_B4, uniqueness_check
-from ordfactor.poset import _mask_bits
+from ordfactor.poset import _mask_bits, is_irreducible
 from ordfactor.topology import RepresentationError, represent_ideal_family
 from tests.test_monoid import three_atom_top_instance
 
@@ -109,6 +109,15 @@ def test_uniqueness_agrees_with_b4():
         assert unique.verdict == b4.verdict, (inst.name, unique, b4)
         verdicts.add(b4.verdict)
     assert verdicts == {"true", "false"}  # both decided, both outcomes covered
+
+
+def test_divisor_lattice_join_irreducibles_need_no_pairwise_test():
+    # bounded families have joins there, which _atom_powers relies on
+    for sys in theorem_systems():
+        lattice = divisor_lattice(sys)[0]
+        for x in range(lattice.size):
+            pairwise = is_irreducible(lattice, x, "join", "plain", "finite")
+            assert pairwise == is_irreducible(lattice, x, "join", "plain", "complete"), sys.name
 
 
 def test_complete_families_are_meet_closed():
