@@ -41,6 +41,7 @@ class IdealSystem:
         self.principal = dict(principal)
         self.monoid = monoid
         self.mult = self._normalize_mult(mult) if mult is not None else None
+        self.principal_mask = poset.mask_of(self.principal.values())
         self._cache: dict = {}
         self._validate()
 
@@ -55,14 +56,19 @@ class IdealSystem:
         return table
 
     def _validate(self) -> None:
+        """The model axioms, each decided by masks.  Exact: the common lower
+        bounds of two ideals form a down-set, which has a greatest element
+        iff it is that element's down-set."""
         p = self.poset
         if p.bottom() != self.zero:
             raise InstanceError("the zero ideal must sit below every ideal")
         if p.top() is None:
             raise InstanceError("ideal systems need a unit (top) ideal")
+        down = p.down
+        down_sets = set(down)
         for a in range(p.size):
             for b in range(a + 1, p.size):
-                if p.meet_mask((1 << a) | (1 << b)) is None:
+                if down[a] & down[b] not in down_sets:
                     raise InstanceError(
                         f"ideals must be closed under intersection: {p.labels[a]} with {p.labels[b]}"
                     )
@@ -76,21 +82,27 @@ class IdealSystem:
             raise InstanceError("the zero ideal is never principal")
         if self.principal[self.monoid.unit] != p.top():
             raise InstanceError("the unit's principal ideal must be the unit (top) ideal")
+        label = {o: x for x, o in self.principal.items()}
         for x in range(mp.size):
-            for y in range(mp.size):
-                if mp.leq(x, y) != p.leq(self.principal[y], self.principal[x]):
-                    raise InstanceError(
-                        f"the principal embedding must reverse order at {mp.labels[x]}, {mp.labels[y]}"
-                    )
+            below = 0  # the y whose principal ideal lies inside x's
+            for o in _mask_bits(down[self.principal[x]] & self.principal_mask):
+                below |= 1 << label[o]
+            if below != mp.up[x]:
+                y = next(_mask_bits(below ^ mp.up[x]))
+                raise InstanceError(
+                    f"the principal embedding must reverse order at {mp.labels[x]}, {mp.labels[y]}"
+                )
         if self.mult is not None:
-            for x in range(mp.size):
-                for y in range(x, mp.size):
-                    xy = self.monoid.product(x, y)
-                    pi = self.product(self.principal[x], self.principal[y])
-                    if xy is not None and pi is not None and pi != self.principal[xy]:
-                        raise InstanceError(
-                            f"ideal multiplication disagrees with the monoid at {mp.labels[x]}*{mp.labels[y]}"
-                        )
+            if self.monoid.mult is None:
+                raise InstanceError(
+                    f"ideal multiplication needs a monoid with one; {self.monoid.name!r} has none"
+                )
+            for (x, y), xy in sorted(self.monoid.mult.items()):
+                pi = self.product(self.principal[x], self.principal[y])
+                if pi is not None and pi != self.principal[xy]:
+                    raise InstanceError(
+                        f"ideal multiplication disagrees with the monoid at {mp.labels[x]}*{mp.labels[y]}"
+                    )
 
     def product(self, a: int, b: int) -> Optional[int]:
         if self.mult is None:
@@ -102,9 +114,6 @@ class IdealSystem:
 
     def nonzero(self) -> tuple[int, ...]:
         return tuple(i for i in range(self.poset.size) if i != self.zero)
-
-    def principal_image(self) -> frozenset[int]:
-        return frozenset(self.principal.values())
 
 
 def derive_system(inst: MonoidInstance) -> IdealSystem:
@@ -140,11 +149,16 @@ def derive_system(inst: MonoidInstance) -> IdealSystem:
         else:
             gens = sorted(mp.labels[i] for i in mp.minimal_of(m))
             labels.append("<" + ",".join(gens) + ">")
-    up = [0] * len(ordered)
-    for i, a in enumerate(ordered):
-        for j, b in enumerate(ordered):
-            if a & b == a:  # set inclusion is ideal inclusion
-                up[i] |= 1 << j
+    containing = [0] * n  # per element: the ideals that contain it
+    for j, b in enumerate(ordered):
+        for e in _mask_bits(b):
+            containing[e] |= 1 << j
+    up = []  # set inclusion is ideal inclusion
+    for a in ordered:
+        acc = (1 << len(ordered)) - 1
+        for e in _mask_bits(a):
+            acc &= containing[e]
+        up.append(acc)
     poset = FinitePoset(labels, up, _validated=True)
     mult = None
     if inst.has_mult:
@@ -171,8 +185,7 @@ def divisorial_closure(sys: IdealSystem, a: int) -> int:
     sys.poset.check_ids([a])
     if a == sys.zero:
         return a
-    above = [q for q in sys.principal_image() if sys.poset.leq(a, q)]
-    m = sys.poset.meet(above)
+    m = sys.poset.meet_mask(sys.poset.up[a] & sys.principal_mask)
     if m is None:  # pragma: no cover - meets validated at construction
         raise AssertionError("meet of principal ideals missing")
     return m
@@ -428,8 +441,7 @@ def classify(sys: IdealSystem) -> ClassificationVerdict:
     krull = d6.is_true
     data = divisorial_data(sys)
     non_div = [a for a in sys.nonzero() if data.closure[a] != a]
-    principal = sys.principal_image()
-    non_principal = [a for a in sys.nonzero() if a not in principal]
+    non_principal = [a for a in sys.nonzero() if not sys.principal_mask >> a & 1]
     dedekind = krull and not non_div
     ufd = krull and not non_principal
     return ClassificationVerdict(

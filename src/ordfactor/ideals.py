@@ -30,7 +30,8 @@ from .reporting import FALSE, NOT_EVALUATED, TRUE, ConditionReport
 
 
 def _ctx(inst: MonoidInstance):
-    """Per-instance precomputation: deduped (power-downset, forced-target) pairs."""
+    """Per-instance precomputation: deduped (power-downset, forced-target)
+    pairs, without those whose target already lies below a premise power."""
     if "ideal_ctx" not in inst._cache:
         p = inst.poset
         pairs = {}
@@ -39,7 +40,9 @@ def _ctx(inst: MonoidInstance):
             if dbm not in pairs:
                 pairs[dbm] = p.join_mask(dbm)
         forced = tuple(
-            (dbm, tgt, p.down[tgt]) for dbm, tgt in sorted(pairs.items()) if tgt is not None
+            (dbm, tgt, p.down[tgt])
+            for dbm, tgt in sorted(pairs.items())
+            if tgt is not None and not (p.down_mask(dbm) >> tgt & 1)
         )
         inst._cache["ideal_ctx"] = forced
     return inst._cache["ideal_ctx"]
@@ -52,7 +55,8 @@ def ideal_closure_mask(inst: MonoidInstance, mask: int) -> int:
     dbm = down(a) ∩ B and tgt = join(dbm) ≤ a, so down(tgt) ∩ B = dbm:
     firing a pair adds no prime power.  The powers of the closure are thus
     those of D = down(mask), and the closure is D together with down(tgt)
-    for every pair whose dbm lies in D.
+    for every pair whose dbm lies in D.  `_ctx` drops the pairs with tgt in
+    down(dbm): there down(tgt) ⊆ down(dbm) ⊆ D, so they add nothing.
     """
     cur = down = inst.poset.down_mask(mask)
     for dbm, _tgt, tgt_down in _ctx(inst):

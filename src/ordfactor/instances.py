@@ -35,7 +35,7 @@ from .monoid import (
     decompose,
     derive_order,
 )
-from .poset import FinitePoset, PosetError
+from .poset import FinitePoset, PosetError, is_irreducible
 from .reporting import (
     FALSE,
     NOT_APPLICABLE,
@@ -84,6 +84,7 @@ def parse_instance(text: str) -> InstanceSpec:
         "principal": [],
     }
     line_of: dict = {"order": {}, "mult": {}, "B": {}, "elements": {}, "principal": {}}
+    first_mult_line = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -122,6 +123,7 @@ def parse_instance(text: str) -> InstanceSpec:
                 fields["order_pairs"].append(pair)
                 line_of["order"].setdefault(pair, lineno)
         elif section == "mult":
+            first_mult_line = first_mult_line or lineno
             if line.startswith("rule"):
                 _, _, value = line.partition("=")
                 fields["mult_rule"] = value.strip()
@@ -155,6 +157,12 @@ def parse_instance(text: str) -> InstanceSpec:
         raise ParseError("missing instance name", 1)
     if meta.get("kind") not in (ORDERED_MONOID, POSET_WITH_B, "ideal-system"):
         raise ParseError(f"missing or unknown kind {meta.get('kind')!r}", 1)
+    if meta["kind"] == "ideal-system" and first_mult_line is not None:
+        raise ParseError(
+            "ideal-system files take no [mult] section: their monoid is read off the"
+            " principal ideals' order and has no products to check ideal products against",
+            first_mult_line,
+        )
     spec = InstanceSpec(
         name=meta["name"],
         kind=meta["kind"],
@@ -194,9 +202,19 @@ def _validate_spec(spec: InstanceSpec, line_of: dict) -> None:
     for lab in spec.principal:
         resolve(lab, "principal", lab)
     try:
-        to_runtime(spec)
+        runtime = to_runtime(spec)
     except (PosetError, InstanceError) as err:
         raise ParseError(str(err), _locate_error(str(err), spec, line_of)) from err
+    # A power below a join of elements not above it breaks unique
+    # decomposition while F1 holds, so the harness's clusters would disagree.
+    p = runtime.monoid.poset if isinstance(runtime, IdealSystem) else runtime.poset
+    for entry in spec.b_entries:
+        if not is_irreducible(p, p.index(entry[0]), "join", "strong", "complete"):
+            raise ParseError(
+                f"designated power {entry[0]!r} is not strongly join-irreducible:"
+                " it lies below a join of elements that are not above it",
+                line_of["B"][entry],
+            )
 
 
 def _locate_error(message: str, spec: InstanceSpec, line_of: dict) -> int:
@@ -353,18 +371,12 @@ def _runtime_system(spec: InstanceSpec, index: dict) -> IdealSystem:
     monoid = MonoidInstance(
         f"{spec.name}-monoid", sub, back[poset.top()], prime_powers=monoid_powers, kind=POSET_WITH_B
     )
-    mult = None
-    if spec.mult_entries:
-        mult = {
-            (index[a], index[b]): index[c] for a, b, c in spec.mult_entries
-        }
     system = IdealSystem(
         name=spec.name,
         poset=poset,
         zero=index[spec.zero],
         principal={back[o]: o for o in old},
         monoid=monoid,
-        mult=mult,
     )
     # Each ideal's principal labels must form a power ideal of the monoid,
     # or the principal-label connection has nowhere to send that ideal.

@@ -108,6 +108,29 @@ def test_ideal_system_with_non_ideal_labels_is_a_parse_error(command):
 
 
 @pytest.mark.parametrize(
+    "command", [("report",), ("classify",), ("check", "--conditions", "D6")]
+)
+def test_ideal_system_with_a_mult_section_is_a_parse_error(command):
+    path = Path(__file__).parent / "fixtures" / "mult_system.om"
+    code, out, err = run_cli(*command, "--instance", str(path))
+    assert (code, out) == (2, b"")
+    assert err.startswith(b"ordfactor: line 22: ideal-system files take no [mult] section")  # (p) * (q) = (pq)
+    assert b"Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command", [("report",), ("check", "--conditions", "harness")]
+)
+def test_power_that_is_not_strongly_join_irreducible_is_a_parse_error(command):
+    # c = b^2 lies below the join of a and b; accepted, the harness's clusters disagreed
+    path = Path(__file__).parent / "fixtures" / "weak_power.om"
+    code, out, err = run_cli(*command, "--instance", str(path))
+    assert (code, out) == (2, b"")
+    assert err == b"ordfactor: line 21: designated power 'c' is not strongly join-irreducible:" \
+        b" it lies below a join of elements that are not above it\n"
+
+
+@pytest.mark.parametrize(
     "command, code, line",
     [
         (("report",), 1, b"D6: true"),  # B2 fails: 1 and 2 have no join

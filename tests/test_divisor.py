@@ -1,4 +1,7 @@
+import itertools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ordfactor.builders import gen_div, gen_hilbert, gen_krullZ2
 from ordfactor.divisor import (
@@ -18,6 +21,7 @@ from ordfactor.galois import preservation_report, round_trip_laws_hold
 from ordfactor.ideals import enumerate_ideals
 from ordfactor.monoid import InstanceError, MonoidInstance, POSET_WITH_B
 from ordfactor.poset import FinitePoset, order_isomorphism
+from tests.test_theorems import closure_monoids, theorem_systems
 
 
 def div_system(n):
@@ -335,3 +339,169 @@ def test_atom_prime_check_without_multiplication():
     reports = {r.condition: r for r in atom_prime_check(sys_, family, closed)}
     for base in inst.bases:
         assert reports[f"prime:{inst.lab(base)}"].verdict == "not_evaluated"
+
+
+# -- the pairwise validation as an oracle for the mask kernel ---------------------------
+
+
+def pairwise_validate(sys) -> None:
+    """IdealSystem's model axioms by their definitions, pair by pair."""
+    p = sys.poset
+    if p.bottom() != sys.zero:
+        raise InstanceError("the zero ideal must sit below every ideal")
+    if p.top() is None:
+        raise InstanceError("ideal systems need a unit (top) ideal")
+    for a in range(p.size):
+        for b in range(a + 1, p.size):
+            if p.meet_mask((1 << a) | (1 << b)) is None:
+                raise InstanceError(
+                    f"ideals must be closed under intersection: {p.labels[a]} with {p.labels[b]}"
+                )
+    mp = sys.monoid.poset
+    if set(sys.principal) != set(range(mp.size)):
+        raise InstanceError("the principal embedding must be total on the monoid")
+    vals = list(sys.principal.values())
+    if len(set(vals)) != len(vals):
+        raise InstanceError("the principal embedding must be injective")
+    if sys.zero in vals:
+        raise InstanceError("the zero ideal is never principal")
+    if sys.principal[sys.monoid.unit] != p.top():
+        raise InstanceError("the unit's principal ideal must be the unit (top) ideal")
+    for x in range(mp.size):
+        for y in range(mp.size):
+            if mp.leq(x, y) != p.leq(sys.principal[y], sys.principal[x]):
+                raise InstanceError(
+                    f"the principal embedding must reverse order at {mp.labels[x]}, {mp.labels[y]}"
+                )
+    if sys.mult is not None:
+        for x in range(mp.size):
+            for y in range(x, mp.size):
+                xy = sys.monoid.product(x, y)
+                pi = sys.product(sys.principal[x], sys.principal[y])
+                if xy is not None and pi is not None and pi != sys.principal[xy]:
+                    raise InstanceError(
+                        f"ideal multiplication disagrees with the monoid at {mp.labels[x]}*{mp.labels[y]}"
+                    )
+
+
+def validation_outcomes(poset, zero, principal, monoid, mult):
+    """(pairwise oracle, mask kernel) outcomes: None or the InstanceError text."""
+    oracle = IdealSystem.__new__(IdealSystem)
+    oracle.poset, oracle.zero, oracle.principal, oracle.monoid = poset, zero, dict(principal), monoid
+    oracle.mult = oracle._normalize_mult(mult) if mult is not None else None
+    outcomes = []
+    for validate in (
+        lambda: pairwise_validate(oracle),
+        lambda: IdealSystem("mutant", poset, zero, principal, monoid, mult),
+    ):
+        try:
+            validate()
+            outcomes.append(None)
+        except InstanceError as err:
+            outcomes.append(str(err))
+    return tuple(outcomes)
+
+
+def test_mask_validation_accepts_every_shared_and_ladder_system():
+    ladder = closure_monoids()[-6:]  # the benchmark ladder's monoids outside the shared list
+    systems = theorem_systems() + tuple(derive_system(inst) for inst in ladder)
+    for sys in systems:
+        assert validation_outcomes(sys.poset, sys.zero, sys.principal, sys.monoid, sys.mult) == (None, None)
+
+
+def _small_systems():
+    return tuple(s for s in theorem_systems() if s.poset.size <= 40)
+
+
+def _mutate_order(sys, choose):
+    # drop one covering pair i < j: the relation stays a partial order
+    p = sys.poset
+    covers = [
+        (i, j)
+        for i in range(p.size)
+        for j in range(p.size)
+        if p.lt(i, j) and not any(p.lt(i, k) and p.lt(k, j) for k in range(p.size))
+    ]
+    i, j = choose(covers)
+    up = list(p.up)
+    up[i] &= ~(1 << j)
+    return FinitePoset(p.labels, up), sys.principal, sys.mult
+
+
+def _incomparable_pairs_above_zero(sys):
+    p = sys.poset
+    return [
+        (a, b)
+        for a, b in itertools.combinations(range(p.size), 2)
+        if not p.leq(a, b) and not p.leq(b, a) and p.meet_mask((1 << a) | (1 << b)) != sys.zero
+    ]
+
+
+def _mutate_meet(sys, choose):
+    # a new ideal below a and b but not below their meet leaves a, b without a meet
+    p = sys.poset
+    a, b = choose(_incomparable_pairs_above_zero(sys))
+    up = list(p.up) + [(1 << p.size) | p.up[a] | p.up[b]]
+    up[sys.zero] |= 1 << p.size
+    return FinitePoset(p.labels + ("mutant",), up), sys.principal, sys.mult
+
+
+def _mutate_principal(sys, choose):
+    x, y = choose(list(itertools.combinations(sorted(sys.principal), 2)))
+    principal = dict(sys.principal)
+    principal[x], principal[y] = principal[y], principal[x]
+    return sys.poset, principal, sys.mult
+
+
+def _mutate_product(sys, choose):
+    key, value = choose(list(itertools.product(sorted(sys.mult), range(sys.poset.size))))
+    return sys.poset, sys.principal, {**sys.mult, key: value}
+
+
+def _mutations(sys):
+    out = [_mutate_order]
+    if len(sys.principal) > 1:
+        out.append(_mutate_principal)
+    if _incomparable_pairs_above_zero(sys):
+        out.append(_mutate_meet)
+    if sys.mult:
+        out.append(_mutate_product)
+    return out
+
+
+def _mutant_outcomes(sys, mutate, choose):
+    poset, principal, mult = mutate(sys, choose)
+    return validation_outcomes(poset, sys.zero, principal, sys.monoid, mult)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_mask_validation_matches_pairwise_oracle_on_mutants(data):
+    sys = data.draw(st.sampled_from(_small_systems()))
+    mutate = data.draw(st.sampled_from(_mutations(sys)))
+    oracle, kernel = _mutant_outcomes(sys, mutate, lambda seq: data.draw(st.sampled_from(seq)))
+    assert kernel == oracle
+
+
+def test_mutants_reach_every_rejection():
+    # the first and the last choice of every mutation on every small shared system
+    rejections = set()
+    for sys in _small_systems():
+        for mutate in _mutations(sys):
+            for pick in (0, -1):
+                oracle, kernel = _mutant_outcomes(sys, mutate, lambda seq: seq[pick])
+                assert kernel == oracle, (sys.name, mutate.__name__)
+                rejections.add(kernel and kernel.split(":")[0].split(" at ")[0])
+    assert rejections >= {
+        None,
+        "ideals must be closed under intersection",
+        "the principal embedding must reverse order",
+        "ideal multiplication disagrees with the monoid",
+    }
+
+
+def test_ideal_products_need_a_monoid_with_products():
+    sys = derive_system(gen_div(6))
+    bare = MonoidInstance("bare", sys.monoid.poset, sys.monoid.unit, prime_powers=sys.monoid.prime_powers, kind=POSET_WITH_B)
+    with pytest.raises(InstanceError, match="ideal multiplication needs a monoid"):
+        IdealSystem("products", sys.poset, sys.zero, sys.principal, bare, sys.mult)

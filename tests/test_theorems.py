@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from ordfactor.builders import gen_div, gen_free, gen_hilbert, gen_krullZ2, gen_random
 from ordfactor.divisor import build_principal_connection, derive_system, divisor_lattice, divisorial_data
-from ordfactor.ideals import _ctx, enumerate_ideals, ideal_closure_mask
+from ordfactor.ideals import _ctx, enumerate_ideals, ideal_closure_mask, is_power_ideal_mask
 from ordfactor.instances import generate
 from ordfactor.monoid import check_B4, uniqueness_check
 from ordfactor.poset import _mask_bits, is_irreducible
@@ -139,42 +139,81 @@ def test_representation_laws_on_every_accepted_family():
     assert accepted >= 60
 
 
+@functools.cache
+def unfiltered_pairs(inst):
+    """Every deduped forced pair, including those whose target lies below a
+    premise power (the ones `_ctx` drops)."""
+    p = inst.poset
+    pairs = {}
+    for a in range(p.size):
+        dbm = p.down[a] & inst.power_mask
+        pairs.setdefault(dbm, p.join_mask(dbm))
+    return tuple((dbm, tgt, p.down[tgt]) for dbm, tgt in sorted(pairs.items()) if tgt is not None)
+
+
 def fixpoint_closure_mask(inst, mask: int) -> int:
     """The closure by its definition: from the down-set, add the down-set of
     every forced join whose power premise is present, until nothing changes."""
-    p = inst.poset
-    forced = []
-    for a in range(p.size):
-        dbm = p.down[a] & inst.power_mask
-        tgt = p.join_mask(dbm)
-        if tgt is not None:
-            forced.append((dbm, p.down[tgt]))
-    cur = p.down_mask(mask)
+    cur = inst.poset.down_mask(mask)
     changed = True
     while changed:
         changed = False
-        for dbm, tgt_down in forced:
+        for dbm, _tgt, tgt_down in unfiltered_pairs(inst):
             if not (dbm & ~cur) and cur | tgt_down != cur:
                 cur |= tgt_down
                 changed = True
     return cur
 
 
+def unfiltered_sweep_closure_mask(inst, mask: int) -> int:
+    cur = down = inst.poset.down_mask(mask)
+    for dbm, _tgt, tgt_down in unfiltered_pairs(inst):
+        if not (dbm & ~down):
+            cur |= tgt_down
+    return cur
+
+
+def unfiltered_is_power_ideal_mask(inst, mask: int):
+    p = inst.poset
+    if mask == 0:
+        return False, ("empty",)
+    if p.down_mask(mask) != mask:
+        return False, ("not_lower", inst.lab(next(_mask_bits(p.down_mask(mask) & ~mask))))
+    for dbm, tgt, _down in unfiltered_pairs(inst):
+        if not (dbm & ~mask) and not (mask >> tgt & 1):
+            return False, ("forced_join", inst.lab(tgt), sorted(inst.lab(i) for i in _mask_bits(dbm)))
+    return True, None
+
+
 def test_forced_joins_add_no_prime_power():
     # the reason one sweep of the forced pairs closes a set
     for inst in closure_monoids():
+        p = inst.poset
         for dbm, tgt, tgt_down in _ctx(inst):
-            assert tgt_down == inst.poset.down[tgt], (inst.name, tgt)
+            assert tgt_down == p.down[tgt], (inst.name, tgt)
             assert tgt_down & inst.power_mask == dbm, (inst.name, inst.lab(tgt))
+            assert not (p.down_mask(dbm) >> tgt & 1), (inst.name, inst.lab(tgt))  # no no-op pair kept
+
+
+def seed_masks(inst):
+    p = inst.poset
+    return [0] + [p.down[a] for a in range(p.size)] + [p.full_mask & ~p.up[b] for b in sorted(inst.power_elements)]
+
+
+def assert_filtered_pairs_agree(inst, mask):
+    p = inst.poset
+    down = p.down_mask(mask)
+    assert ideal_closure_mask(inst, mask) == unfiltered_sweep_closure_mask(inst, mask), inst.name
+    # a lower set less one maximal element is a lower set that may miss a forced join
+    for m in (mask, down, down & ~(1 << max(p.maximal_of(down), default=0))):
+        assert is_power_ideal_mask(inst, m) == unfiltered_is_power_ideal_mask(inst, m), (inst.name, m)
 
 
 def test_single_pass_closure_equals_fixpoint_on_principal_and_avoiding_seeds():
     for inst in closure_monoids():
-        p = inst.poset
-        seeds = [0] + [p.down[a] for a in range(p.size)]
-        seeds += [p.full_mask & ~p.up[b] for b in sorted(inst.power_elements)]
-        for mask in seeds:
+        for mask in seed_masks(inst):
             assert ideal_closure_mask(inst, mask) == fixpoint_closure_mask(inst, mask), inst.name
+            assert_filtered_pairs_agree(inst, mask)
 
 
 @settings(max_examples=200, deadline=None)
@@ -183,3 +222,4 @@ def test_single_pass_closure_equals_fixpoint_on_drawn_masks(data):
     inst = data.draw(st.sampled_from(closure_monoids()))
     mask = data.draw(st.integers(min_value=0, max_value=inst.poset.full_mask))
     assert ideal_closure_mask(inst, mask) == fixpoint_closure_mask(inst, mask)
+    assert_filtered_pairs_agree(inst, mask)
