@@ -12,7 +12,7 @@ import random
 from itertools import product as iproduct
 
 from .monoid import InstanceError, MonoidInstance, PrimePower, POSET_WITH_B
-from .poset import FinitePoset, is_irreducible
+from .poset import FinitePoset, _mask_bits, is_irreducible, product_up_masks
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -21,17 +21,12 @@ def gen_div(n: int, check: bool = False) -> MonoidInstance:
     """Divisors of n under divisibility, with truncated multiplication."""
     if not (1 <= n <= 10**6):
         raise InstanceError("gen_div requires 1 <= n <= 10^6")
-    divs = [d for d in range(1, n + 1) if n % d == 0]
-    if len(divs) > 64:
-        raise InstanceError(f"gen_div({n}) has {len(divs)} divisors; at most 64 supported")
+    poset = FinitePoset.divisors(n)
+    if poset.size > 64:
+        raise InstanceError(f"gen_div({n}) has {poset.size} divisors; at most 64 supported")
+    divs = [int(d) for d in poset.labels]
     idx = {d: i for i, d in enumerate(divs)}
     m = len(divs)
-    up = [0] * m
-    for i, d in enumerate(divs):
-        for j, e in enumerate(divs):
-            if e % d == 0:
-                up[i] |= 1 << j
-    poset = FinitePoset([str(d) for d in divs], up, _validated=True)
     mult = {}
     for i, a in enumerate(divs):
         for j in range(i, m):
@@ -45,11 +40,7 @@ def gen_free(k: int, e: int, check: bool = False) -> MonoidInstance:
     """Exponent vectors {0..e}^k: the free model on k generators, truncated."""
     if k < 1 or e < 1 or (e + 1) ** k > 4096 or k > len(_SMALL_PRIMES):
         raise InstanceError("gen_free requires small k and e")
-    n = 1
-    for p in _SMALL_PRIMES[:k]:
-        n *= p**e
     vectors = list(iproduct(*[range(e + 1) for _ in range(k)]))
-    idx = {v: i for i, v in enumerate(vectors)}
 
     def value(v):
         out = 1
@@ -57,20 +48,16 @@ def gen_free(k: int, e: int, check: bool = False) -> MonoidInstance:
             out *= p**x
         return out
 
-    up = [0] * len(vectors)
-    for i, v in enumerate(vectors):
-        for j, w in enumerate(vectors):
-            if all(x <= y for x, y in zip(v, w)):
-                up[i] |= 1 << j
+    up = product_up_masks(vectors, [FinitePoset.chain(e + 1)] * k)
     poset = FinitePoset([str(value(v)) for v in vectors], up, _validated=True)
+    # Vectors are listed in base-(e + 1) order, so index(e - v) = last - index(v)
+    # and v + w stays in the box iff w <= e - v, where index(v + w) = i + j.
+    last = len(vectors) - 1
     mult = {}
-    for i, v in enumerate(vectors):
-        for j in range(i, len(vectors)):
-            w = vectors[j]
-            s = tuple(x + y for x, y in zip(v, w))
-            if all(x <= e for x in s):
-                mult[(i, j)] = idx[s]
-    return MonoidInstance(f"free:{k},{e}", poset, idx[tuple([0] * k)], mult=mult, check=check)
+    for i in range(len(vectors)):
+        for j in _mask_bits(poset.down[last - i] >> i << i):
+            mult[(i, j)] = i + j
+    return MonoidInstance(f"free:{k},{e}", poset, 0, mult=mult, check=check)
 
 
 def gen_hilbert(n: int, check: bool = False) -> MonoidInstance:
@@ -127,11 +114,7 @@ def _random_box(size: int, seed: int, rng: random.Random) -> MonoidInstance | No
     dims = rng.choice(shapes)
     vectors = list(iproduct(*[range(d + 1) for d in dims]))
     idx = {v: i for i, v in enumerate(vectors)}
-    up = [0] * len(vectors)
-    for i, v in enumerate(vectors):
-        for j, w in enumerate(vectors):
-            if all(x <= y for x, y in zip(v, w)):
-                up[i] |= 1 << j
+    up = product_up_masks(vectors, [FinitePoset.chain(d + 1) for d in dims])
     poset = FinitePoset([f"v{'x'.join(map(str, v))}" for v in vectors], up, _validated=True)
     powers = []
     for axis, bound in enumerate(dims):
@@ -204,11 +187,8 @@ def gen_krullZ2():
     grid = [(i, j) for i in range(4) for j in range(4)]
     even = [v for v in grid if (v[0] + v[1]) % 2 == 0]
     eidx = {v: i for i, v in enumerate(even)}
-    up = [0] * len(even)
-    for i, v in enumerate(even):
-        for j, w in enumerate(even):
-            if v[0] <= w[0] and v[1] <= w[1]:
-                up[i] |= 1 << j
+    side = FinitePoset.chain(4)
+    up = product_up_masks(even, [side, side])
     mpos = FinitePoset([f"({v[0]},{v[1]})" for v in even], up, _validated=True)
     mult = {}
     for i, v in enumerate(even):
@@ -221,14 +201,10 @@ def gen_krullZ2():
 
     labels = ["(0)"] + [f"({v[0]},{v[1]})" for v in grid]
     gidx = {v: k + 1 for k, v in enumerate(grid)}
-    iup = [0] * (len(grid) + 1)
-    iup[0] = (1 << (len(grid) + 1)) - 1  # the zero ideal sits below everything
-    for v in grid:
-        for w in grid:
-            # inclusion is reverse componentwise order on divisor vectors
-            if w[0] <= v[0] and w[1] <= v[1]:
-                iup[gidx[v]] |= 1 << gidx[w]
-        iup[gidx[v]] |= 1 << gidx[v]
+    # inclusion is reverse componentwise order on divisor vectors, and the
+    # zero ideal (id 0) sits below everything
+    grid_up = product_up_masks(grid, [side.dual(), side.dual()])
+    iup = [(1 << (len(grid) + 1)) - 1] + [m << 1 for m in grid_up]
     ideals = FinitePoset(labels, iup, _validated=True)
     principal = {eidx[v]: gidx[v] for v in even}
     imult = {}

@@ -20,6 +20,7 @@ from .galois import GaloisConnection, MonotoneMap, subposet_kind
 from .ideals import IdealFamily
 from .monoid import MonoidInstance, InstanceError, covering_law_failure
 from .poset import FinitePoset, _mask_bits, is_irreducible
+from .products import chain_power_failure
 from .reporting import FALSE, NOT_EVALUATED, TRUE, ConditionReport
 
 
@@ -652,14 +653,7 @@ def _chain_power_clause(sys, lattice, old, mult, chains) -> ConditionReport:
                 )
     order = sorted(chains)
     bounds = [len(chains[a]) for a in order]
-    total = 1
-    for b in bounds:
-        total *= b + 1
-    if total != lattice.size:
-        return ConditionReport(
-            name, FALSE, (lattice.size, total), note="cardinality differs from the chain power"
-        )
-    vectors = {}
+    vectors = []
     for x in range(lattice.size):
         vec = []
         for a in order:
@@ -668,35 +662,19 @@ def _chain_power_clause(sys, lattice, old, mult, chains) -> ConditionReport:
                 if lattice.leq(e, x):
                     level = k
             vec.append(level)
-        vectors[x] = tuple(vec)
-    if len(set(vectors.values())) != lattice.size:
+        vectors.append(tuple(vec))
+    failure = chain_power_failure(lattice, vectors, bounds, mult)
+    if failure is None:
+        kind = "order isomorphism" if mult is None else "OM-isomorphism"
+        return ConditionReport(name, TRUE, note=f"{kind} with the external direct power of truncated chains")
+    reason, witness = failure
+    if reason == "cardinality":
+        return ConditionReport(name, FALSE, witness, note="cardinality differs from the chain power")
+    if reason == "injective":
         return ConditionReport(name, FALSE, "not injective", note="vector map collapses elements")
-    for x in range(lattice.size):
-        for y in range(lattice.size):
-            comp = all(u <= v for u, v in zip(vectors[x], vectors[y]))
-            if lattice.leq(x, y) != comp:
-                return ConditionReport(
-                    name, FALSE, (sys.lab(old[x]), sys.lab(old[y])), note="not an order isomorphism"
-                )
-    note = "order isomorphism with the external direct power of truncated chains"
-    if mult is not None:
-        def product(a, b):
-            return mult.get((a, b) if a <= b else (b, a))
-
-        for x in range(lattice.size):
-            for y in range(x, lattice.size):
-                xy = product(x, y)
-                summed = tuple(u + v for u, v in zip(vectors[x], vectors[y]))
-                within = all(s <= b for s, b in zip(summed, bounds))
-                if (xy is not None) != within:
-                    return ConditionReport(
-                        name, FALSE, (sys.lab(old[x]), sys.lab(old[y])),
-                        note="definedness does not match the truncated bounds",
-                    )
-                if xy is not None and vectors[xy] != summed:
-                    return ConditionReport(
-                        name, FALSE, (sys.lab(old[x]), sys.lab(old[y])),
-                        note="multiplication does not add exponent vectors",
-                    )
-        note = "OM-isomorphism with the external direct power of truncated chains"
-    return ConditionReport(name, TRUE, note=note)
+    note = {
+        "order": "not an order isomorphism",
+        "definedness": "definedness does not match the truncated bounds",
+        "addition": "multiplication does not add exponent vectors",
+    }[reason]
+    return ConditionReport(name, FALSE, tuple(sys.lab(old[x]) for x in witness), note=note)

@@ -226,7 +226,7 @@ def _locate_error(message: str, spec: InstanceSpec, line_of: dict) -> int:
     if candidates:
         return max(candidates)  # the line completing the cycle
     for entry, lineno in line_of["B"].items():
-        if f"{entry[0]!r}" in message or f"{entry[1]!r}" in message or entry[0] in message:
+        if f"{entry[0]!r}" in message or f"{entry[1]!r}" in message:
             return lineno
     for entry, lineno in line_of["mult"].items():
         if any(f"{lab!r}" in message for lab in entry[:2]):

@@ -138,23 +138,23 @@ class MonoidInstance:
             if pp.exponent < 1:
                 raise InstanceError("exponents are positive")
             if pp.element in seen_elements:
-                raise InstanceError(f"element {self.lab(pp.element)} designated twice")
+                raise InstanceError(f"element {self.lab(pp.element)!r} designated twice")
             seen_elements.add(pp.element)
             if pp.base not in atom_set:
-                raise InstanceError(f"base {self.lab(pp.base)} is not an atom")
+                raise InstanceError(f"base {self.lab(pp.base)!r} is not an atom")
             if not p.leq(pp.base, pp.element):
                 raise InstanceError(
-                    f"power {self.lab(pp.element)} does not lie above its base {self.lab(pp.base)}"
+                    f"power {self.lab(pp.element)!r} does not lie above its base {self.lab(pp.base)!r}"
                 )
             by_base.setdefault(pp.base, []).append(pp)
         for base, pps in by_base.items():
             pps.sort(key=lambda pp: pp.exponent)
             if len({pp.exponent for pp in pps}) != len(pps):
-                raise InstanceError(f"duplicate exponent for base {self.lab(base)}")
+                raise InstanceError(f"duplicate exponent for base {self.lab(base)!r}")
             for lo, hi in zip(pps, pps[1:]):
                 if not p.lt(lo.element, hi.element):
                     raise InstanceError(
-                        f"powers of {self.lab(base)} must form a chain matching exponent order"
+                        f"powers of {self.lab(base)!r} must form a chain matching exponent order"
                     )
         if check and self.mult is not None:
             for pp in self.prime_powers:
@@ -163,12 +163,12 @@ class MonoidInstance:
                     nxt = self.product(acc, pp.base)
                     if nxt is None:
                         raise InstanceError(
-                            f"power {self.lab(pp.base)}^{pp.exponent} not a defined product"
+                            f"power {self.lab(pp.base)!r}^{pp.exponent} not a defined product"
                         )
                     acc = nxt
                 if acc != pp.element:
                     raise InstanceError(
-                        f"{self.lab(pp.element)} is not {self.lab(pp.base)}^{pp.exponent}"
+                        f"{self.lab(pp.element)!r} is not {self.lab(pp.base)!r}^{pp.exponent}"
                     )
 
     # -- basics ---------------------------------------------------------------

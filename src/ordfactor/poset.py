@@ -273,6 +273,34 @@ class FinitePoset:
         return sub, tuple(keep)
 
 
+# -- product order ------------------------------------------------------------
+
+
+def product_up_masks(tuples: Sequence[Sequence[int]], factors: Sequence[FinitePoset]) -> list[int]:
+    """Up-masks of the componentwise order on ``tuples``.
+
+    Coordinate t of every tuple is an element of ``factors[t]``; integer
+    vectors use chain factors.  up(v) is the intersection over t of the
+    tuples whose coordinate t lies above v_t (Davey & Priestley, ch. 1), so
+    each factor costs one mask per value, OR'd over that value's up-set.
+    """
+    n = len(tuples)
+    up = [(1 << n) - 1] * n
+    for t, f in enumerate(factors):
+        level = [0] * f.size
+        for i, v in enumerate(tuples):
+            level[v[t]] |= 1 << i
+        above = []
+        for x in range(f.size):
+            acc = 0
+            for y in _mask_bits(f.up[x]):
+                acc |= level[y]
+            above.append(acc)
+        for i, v in enumerate(tuples):
+            up[i] &= above[v[t]]
+    return up
+
+
 # -- irreducibility ---------------------------------------------------------
 
 

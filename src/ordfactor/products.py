@@ -10,13 +10,14 @@ isomorphism claims stay claims about the truncation.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .galois import GaloisConnection, MonotoneMap, inclusion_map, subposet_kind, upper_adjoint_of
-from .ideals import IdealFamily, check_condition, ideal_closure_mask
-from .monoid import MonoidInstance, InstanceError, check_F1, decompose, valuation
-from .poset import FinitePoset, _mask_bits
+from .ideals import IdealFamily, check_condition, ideal_closure_mask, is_power_ideal_mask
+from .monoid import MonoidInstance, InstanceError, check_F1, valuation
+from .poset import FinitePoset, _mask_bits, product_up_masks
 from .reporting import FALSE, TRUE, ConditionReport
 
 
@@ -61,12 +62,7 @@ def external_product(
     tuples = list(itertools.product(*[range(f.size) for f in factors]))
     index = {t: i for i, t in enumerate(tuples)}
     labels = ["(" + ",".join(f.labels[x] for f, x in zip(factors, t)) + ")" for t in tuples]
-    up = [0] * len(tuples)
-    for i, t in enumerate(tuples):
-        for j, u in enumerate(tuples):
-            if all(f.leq(x, y) for f, x, y in zip(factors, t, u)):
-                up[i] |= 1 << j
-    poset = FinitePoset(labels, up, _validated=True)
+    poset = FinitePoset(labels, product_up_masks(tuples, factors), _validated=True)
     projections = []
     injections = []
     for t_idx, f in enumerate(factors):
@@ -222,7 +218,8 @@ class OrderRepresentation:
 def order_representation_monoid(inst: MonoidInstance) -> OrderRepresentation:
     """Exponent-vector representation of a fully decomposable instance onto
     an external direct power of truncated chains; refuses with the witness
-    when full decomposability fails."""
+    when full decomposability fails.  A multiplication that is not the
+    truncated vector addition leaves ``om`` false; the note names its pair."""
     f1 = check_F1(inst)
     if not f1.is_true:
         raise ProductRefusal(f"full decomposability fails at {f1.witness}", witness=f1.witness)
@@ -231,30 +228,18 @@ def order_representation_monoid(inst: MonoidInstance) -> OrderRepresentation:
     vectors = {
         a: tuple(valuation(inst, a, b) for b in bases) for a in range(inst.size)
     }
-    _verify_vector_map(inst.poset, vectors, bounds, "carrier")
-    om = False
+    mult_failure = _verify_vector_map(inst.poset, vectors, bounds, "carrier", inst.mult)
     note = f"chains truncated at bounds {list(bounds)}"
-    if inst.has_mult:
-        for (a, b), c in inst.mult.items():
-            summed = tuple(x + y for x, y in zip(vectors[a], vectors[b]))
-            if vectors[c] != summed:
-                raise AssertionError("multiplication must add exponent vectors")
-        for a in range(inst.size):
-            for b in range(a, inst.size):
-                summed = tuple(x + y for x, y in zip(vectors[a], vectors[b]))
-                within = all(s <= bd for s, bd in zip(summed, bounds))
-                if (inst.product(a, b) is not None) != within:
-                    raise AssertionError("definedness must match the truncation bounds")
-        om = True
+    om = inst.has_mult and mult_failure is None
+    if om:
         note += "; OM-isomorphism (multiplication adds vectors, truncation-aligned)"
-    for a in range(inst.size):
-        entries = decompose(inst, a)
-        profile = {inst.lab(pp.base): pp.exponent for pp in entries}
-        rebuilt = {
-            inst.lab(b): v for b, v in zip(bases, vectors[a]) if v > 0
-        }
-        if profile != rebuilt:
-            raise AssertionError("the representation must re-derive the decomposition")
+    elif mult_failure is not None:
+        reason, (a, b) = mult_failure
+        pair = f"{inst.lab(a)}*{inst.lab(b)}"
+        if reason == "definedness":
+            note += f"; no OM-isomorphism: definedness of {pair} does not match the truncation bounds"
+        else:
+            note += f"; no OM-isomorphism: {pair} does not add exponent vectors"
     return OrderRepresentation(bases, bounds, vectors, om, note)
 
 
@@ -280,33 +265,64 @@ def order_representation_family(inst: MonoidInstance, family: IdealFamily) -> Or
             vec.append(level)
         vectors[i] = tuple(vec)
     _verify_vector_map(fam_poset, vectors, bounds, "ideal family")
-    # round trip: the ideal is regenerated from its vector's principal powers
-    for i, m in enumerate(masks):
-        gen = 0
-        for b, v in zip(bases, vectors[i]):
-            for pp in inst.powers_of(b):
-                if pp.exponent == v:
-                    gen |= 1 << pp.element
-        if ideal_closure_mask(inst, gen) != m:
-            raise AssertionError("the representation must regenerate each ideal")
     return OrderRepresentation(bases, bounds, vectors, False, f"chains truncated at bounds {list(bounds)}")
 
 
-def _verify_vector_map(p: FinitePoset, vectors, bounds, what: str) -> None:
-    size = 1
-    for b in bounds:
-        size *= b + 1
-    if len(set(vectors.values())) != len(vectors):
+def _verify_vector_map(p: FinitePoset, vectors, bounds, what: str, mult=None):
+    """Refuse unless the vectors map ``p`` isomorphically onto the chain
+    power; return the first failure of ``mult`` to be its truncated vector
+    addition, if any."""
+    failure = chain_power_failure(p, list(vectors.values()), bounds, mult)
+    reason = failure and failure[0]
+    if reason == "cardinality":
+        size, total = failure[1]
+        raise ProductRefusal(f"the {what} is not a full chain power (size {size} vs {total})")
+    if reason == "injective":
         raise ProductRefusal(f"vector map on the {what} is not injective")
-    if len(vectors) != size:
-        raise ProductRefusal(
-            f"the {what} is not a full chain power (size {len(vectors)} vs {size})"
-        )
-    for a in vectors:
-        for b in vectors:
-            comp = all(x <= y for x, y in zip(vectors[a], vectors[b]))
-            if p.leq(a, b) != comp:
-                raise ProductRefusal(f"vector map on the {what} is not an order isomorphism")
+    if reason == "order":
+        raise ProductRefusal(f"vector map on the {what} is not an order isomorphism")
+    return failure
+
+
+def chain_power_failure(p: FinitePoset, vectors, bounds, mult=None):
+    """Why ``vectors[a]``, each within the bounds, is not an isomorphism of
+    ``p`` onto the direct power of the chains 0..bounds[t], as (reason,
+    witness); None when it is one.
+
+    In order: "cardinality" (witness: both sizes), "injective", "order" (the
+    first pair a, b it gets wrong).  Given a table keyed (a, b) with a <= b,
+    then over those pairs, row by row, "definedness" (a*b is defined iff the
+    vector sum stays within the bounds) before "addition" (vectors add).
+    """
+    n, total = len(vectors), math.prod(b + 1 for b in bounds)
+    if total != n:
+        return "cardinality", (n, total)
+    element_of = {v: a for a, v in enumerate(vectors)}
+    if len(element_of) != n:
+        return "injective", None
+    up = product_up_masks(vectors, [FinitePoset.chain(b + 1) for b in bounds])
+    for a in range(n):
+        if up[a] != p.up[a]:
+            return "order", (a, next(_mask_bits(up[a] ^ p.up[a])))
+    if mult is None:
+        return None
+    partners = [0] * n
+    for a, b in mult:
+        partners[a] |= 1 << b
+        partners[b] |= 1 << a
+    for a in range(n):
+        # a*b stays within the bounds iff b lies below the complement of a
+        complement = element_of[tuple(bd - x for bd, x in zip(bounds, vectors[a]))]
+        misfit = (partners[a] ^ p.down[complement]) >> a << a
+        first = (misfit & -misfit).bit_length() - 1 if misfit else n
+        for b in _mask_bits(partners[a] >> a << a):
+            if b >= first:
+                break
+            if vectors[mult[(a, b)]] != tuple(x + y for x, y in zip(vectors[a], vectors[b])):
+                return "addition", (a, b)
+        if misfit:
+            return "definedness", (a, first)
+    return None
 
 
 # -- algebraic view ---------------------------------------------------------------------
@@ -400,7 +416,7 @@ def complementary_factor_structure(
         for pp in inst.powers_of(b):
             mask |= 1 << pp.element
         chain_masks[b] = mask
-        ok, witness = _chain_is_ideal(inst, mask)
+        ok, witness = is_power_ideal_mask(inst, mask)
         if not ok:
             return ComplementaryFactorReport(
                 (ConditionReport("chain_ideal", FALSE, witness),)
@@ -453,12 +469,6 @@ def complementary_factor_structure(
         )
     )
     return ComplementaryFactorReport(tuple(checks))
-
-
-def _chain_is_ideal(inst: MonoidInstance, mask: int):
-    from .ideals import is_power_ideal_mask
-
-    return is_power_ideal_mask(inst, mask)
 
 
 def principal_power_chain_factors(inst: MonoidInstance, family: IdealFamily):

@@ -274,7 +274,7 @@ def test_criterion_7_products():
         rep_m = order_representation_family(inst, family)
         rep_g = order_representation_monoid(inst)
         # exact round trip: vectors regenerate ideals and decompositions
-        # (verified internally; re-assert the counts here)
+        # (theorems checked in tests/test_theorems.py; re-assert the counts here)
         size = 1
         for b in rep_m.bounds:
             size *= b + 1

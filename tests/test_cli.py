@@ -199,3 +199,29 @@ def test_console_script_installed():
         pytest.skip("console script not on PATH in this environment")
     proc = subprocess.run([exe, "check", "--gen", "div:12", "--conditions", "D1"], capture_output=True)
     assert proc.returncode == 0
+
+
+@pytest.mark.parametrize(
+    "fixture, note",
+    [
+        ("past_bound.om", b"chains truncated at bounds [2]; no OM-isomorphism:"
+         b" definedness of 2*4 does not match the truncation bounds"),
+        ("missing_product.om", b"chains truncated at bounds [1, 1]; no OM-isomorphism:"
+         b" definedness of 2*3 does not match the truncation bounds"),
+    ],
+)
+@pytest.mark.parametrize("command", [("orderrep",), ("report",), ("check", "--conditions", "all")])
+def test_multiplication_off_the_chain_power_is_a_note_not_a_traceback(fixture, note, command):
+    path = Path(__file__).parent / "fixtures" / fixture
+    code, out, err = run_cli(*command, "--instance", str(path))
+    assert code in (0, 1)
+    assert err == b""
+    assert b"orderrep: true  (" + note + b")" in out
+
+
+def test_prime_power_error_names_the_line_of_the_quoted_labels():
+    # x = b^1 is line 18; line 17 (a = a^1) matched before, as "a" occurs in "above"
+    path = Path(__file__).parent / "fixtures" / "wrong_base.om"
+    code, out, err = run_cli("check", "--conditions", "D1", "--instance", str(path))
+    assert (code, out) == (2, b"")
+    assert err == b"ordfactor: line 18: power 'x' does not lie above its base 'b'\n"

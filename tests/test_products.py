@@ -102,7 +102,7 @@ def test_order_representation_div360():
     rep = order_representation_monoid(inst)
     assert sorted(rep.bounds, reverse=True) == [3, 2, 1]
     assert rep.om
-    # round trip against the decomposition is asserted internally; spot-check 360
+    # the round trip against the decomposition is a theorem in tests/test_theorems.py; spot-check 360
     top = inst.poset.index("360")
     by_base = dict(zip([inst.lab(b) for b in rep.bases], rep.vectors[top]))
     assert by_base == {"2": 3, "3": 2, "5": 1}

@@ -16,8 +16,9 @@ from ordfactor.builders import gen_div, gen_free, gen_hilbert, gen_krullZ2, gen_
 from ordfactor.divisor import build_principal_connection, derive_system, divisor_lattice, divisorial_data
 from ordfactor.ideals import _ctx, enumerate_ideals, ideal_closure_mask, is_power_ideal_mask
 from ordfactor.instances import generate
-from ordfactor.monoid import check_B4, uniqueness_check
+from ordfactor.monoid import check_B4, check_F1, decompose, uniqueness_check, valuation
 from ordfactor.poset import _mask_bits, is_irreducible
+from ordfactor.products import ProductRefusal, order_representation_family
 from ordfactor.topology import RepresentationError, represent_ideal_family
 from tests.test_monoid import three_atom_top_instance
 
@@ -137,6 +138,43 @@ def test_representation_laws_on_every_accepted_family():
         assert representation_laws_hold(famrep.representation), inst.name
         accepted += 1
     assert accepted >= 60
+
+
+def test_exponent_vectors_re_derive_each_decomposition():
+    # F1 gives D1, and each base's powers form a chain in exponent order, so
+    # decompose(a) exists and takes from each base the power at vec(a); the
+    # order representation's vectors are these valuations
+    decomposable = 0
+    for inst in theorem_monoids():
+        if not check_F1(inst).is_true:
+            continue
+        for a in range(inst.size):
+            entries = decompose(inst, a)
+            assert entries is not None, (inst.name, a)
+            profile = {pp.base: pp.exponent for pp in entries}
+            assert profile == {b: valuation(inst, a, b) for b in inst.bases if valuation(inst, a, b)}, (inst.name, a)
+        decomposable += 1
+    assert decomposable >= 100
+
+
+def test_family_representation_regenerates_each_ideal():
+    # under D1 the harness's D1 <=> D4 equivalence applies: every ideal is
+    # generated by the principal powers its vector names
+    represented = 0
+    for inst, family in complete_families():
+        try:
+            rep = order_representation_family(inst, family)
+        except ProductRefusal:
+            continue
+        for i, m in enumerate(family.poset()[1]):
+            gen = 0
+            for b, v in zip(rep.bases, rep.vectors[i]):
+                for pp in inst.powers_of(b):
+                    if pp.exponent == v:
+                        gen |= 1 << pp.element
+            assert ideal_closure_mask(inst, gen) == m, (inst.name, i)
+        represented += 1
+    assert represented >= 100
 
 
 @functools.cache
