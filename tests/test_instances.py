@@ -178,11 +178,13 @@ def test_run_checks_krull_classify():
     assert report.exit_code() == 1
 
 
-def test_toporep_not_evaluated_when_a_base_check_is_capped():
-    report = run_checks(gen_div(720), ("toporep",))
-    by_name = {c.condition: c for c in report.checks}
-    assert by_name["open_dual"].verdict == "not_evaluated"
-    assert by_name["toporep"].verdict == "not_evaluated"
+def test_toporep_decides_open_dual_above_16_elements():
+    report = run_checks(gen_div(720), ("toporep",))  # 30 elements, 30 power ideals
+    assert [(c.condition, c.verdict) for c in report.checks] == [
+        ("closed_base", "true"),
+        ("open_dual", "true"),
+        ("toporep", "true"),
+    ]
     assert report.exit_code() == 0
 
 

@@ -96,6 +96,28 @@ def test_trivial_monoid_no_atoms_no_primes():
     assert primes(inst) == frozenset()
 
 
+def pairwise_primes(inst):
+    """Oracle: drop every remaining candidate below a product x*y but below
+    neither factor, product by product."""
+    p = inst.poset
+    out = set(range(p.size)) - {inst.unit}
+    for (x, y), xy in inst.mult.items():
+        for a in list(out):
+            if p.leq(a, xy) and not p.leq(a, x) and not p.leq(a, y):
+                out.discard(a)
+    return frozenset(out)
+
+
+def test_primes_mask_kernel_matches_pairwise_loop():
+    from tests.test_theorems import theorem_monoids
+
+    insts = [inst for inst in theorem_monoids() if inst.has_mult]
+    insts += [gen_div(5040), gen_free(4, 3), gen_free(8, 1), gen_free(2, 9), gen_hilbert(441)]
+    assert any(primes(inst) != atoms(inst) for inst in insts)  # some atom is not prime
+    for inst in insts:
+        assert primes(inst) == pairwise_primes(inst), inst.name
+
+
 # -- prime powers and valuation ----------------------------------------------------
 
 
